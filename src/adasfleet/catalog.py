@@ -1,13 +1,15 @@
-"""Driver-assistance feature taxonomy and the make/model/year availability catalog."""
+"""Driver-assistance feature taxonomy, the make/model/year availability catalog,
+and the one reader for the package's comma-separated data files."""
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .errors import BadEnumValue, DuplicateKey, SchemaError
+from .errors import AdasFleetError, BadEnumValue, DuplicateKey, SchemaError
 
 
 class FeatureId(Enum):
@@ -148,53 +150,93 @@ class Catalog:
         return Availability.NOT_AVAILABLE
 
 
-def _read_table(source, expected_header: tuple[str, ...]) -> Iterable[tuple[int, list[str]]]:
-    """Yield (line_number, cells) for a comma-split table.
+def at_row(lineno: int | None, message) -> str:
+    return f"row {lineno}: {message}"
 
-    The dialect is deliberately naive: no quoting, so an embedded comma
-    changes the column count and the row is rejected. Blank lines and
-    '#' comment lines are skipped.
+
+def parse_year(text: str, column: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaError(f"{column} {text!r} is not an integer year") from None
+
+
+def text_lines(source):
+    """Lines of a UTF-8 file, or of an open text stream, streamed and split as str.splitlines splits them."""
+    is_path = isinstance(source, (str, Path))
+    try:
+        with (open(source, encoding="utf-8", newline="") if is_path else nullcontext(source)) as handle:
+            for chunk in handle:
+                yield from chunk.splitlines()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{source} is not UTF-8 text: {exc.reason}") from None
+
+
+class Table:
+    """The data rows of one comma-separated file, streamed as lists of stripped cells.
+
+    No quoting: an embedded comma changes the column count, and every row must
+    be as wide as the header. Blank and '#' comment lines are skipped. The
+    header must be exactly `columns`, unless `optional` is given: then it must
+    hold every name in `columns`, may hold those in `optional` and others, which
+    are ignored, and each row comes as the cells of `columns + optional`, ""
+    where absent. Iterate inside a `with` block: an AdasFleetError raised while
+    a row is handled leaves the block with the row's line number prefixed.
     """
-    text = Path(source).read_text(encoding="utf-8") if isinstance(source, (str, Path)) else source.read()
-    lines = text.splitlines()
-    rows = []
-    header = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if header is None:
-            header = cells
-            if tuple(header) != expected_header:
-                raise SchemaError(f"expected header {','.join(expected_header)!r}, got {line!r}")
-            continue
-        if len(cells) != len(expected_header):
-            raise SchemaError(f"row {lineno}: expected {len(expected_header)} columns, got {len(cells)}")
-        rows.append((lineno, cells))
-    if header is None:
-        raise SchemaError("file has no header row")
-    return rows
+
+    def __init__(self, source, columns: tuple[str, ...], optional: tuple[str, ...] | None = None):
+        self.source = source
+        self.columns = columns
+        self.optional = optional
+        self.header: list[str] | None = None
+        self.lineno: int | None = None  # of the data row being handled
+
+    def __enter__(self) -> Table:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if isinstance(exc, AdasFleetError) and self.lineno is not None:
+            exc.args = (at_row(self.lineno, exc),)
+
+    def _picks(self, header: list[str], line: str) -> list[int | None] | None:
+        if self.optional is None:
+            if tuple(header) != self.columns:
+                raise SchemaError(f"expected header {','.join(self.columns)!r}, got {line!r}")
+            return None
+        index = {name: i for i, name in enumerate(header)}
+        for name in self.columns:
+            if name not in index:
+                raise SchemaError(f"file must have a {name!r} column, got {header}")
+        return [index.get(name) for name in self.columns + self.optional]
+
+    def __iter__(self):
+        picks = None
+        for lineno, line in enumerate(text_lines(self.source), start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            cells = [c.strip() for c in line.split(",")]
+            if self.header is None:
+                picks = self._picks(cells, line)
+                self.header = cells
+                continue
+            self.lineno = lineno
+            if len(cells) != len(self.header):
+                raise SchemaError(f"expected {len(self.header)} columns, got {len(cells)}")
+            yield cells if picks is None else [cells[i] if i is not None else "" for i in picks]
+            self.lineno = None
+        if self.header is None:
+            raise SchemaError("file has no header row")
 
 
 def load_catalog(source, coverage_floor: int = DEFAULT_COVERAGE_FLOOR) -> Catalog:
     """Load an availability catalog CSV, rejecting duplicates and bad enums."""
     records = []
-    seen = set()
-    for lineno, (make, model, year_text, feature_text, avail_text) in _read_table(source, CATALOG_HEADER):
-        try:
-            model_year = int(year_text)
-        except ValueError:
-            raise SchemaError(f"row {lineno}: model_year {year_text!r} is not an integer") from None
-        if model_year < 1980:
-            raise SchemaError(f"row {lineno}: model_year {model_year} predates 17-character VINs")
-        try:
+    with Table(source, CATALOG_HEADER) as table:
+        for make, model, year_text, feature_text, avail_text in table:
+            model_year = parse_year(year_text, "model_year")
+            if model_year < 1980:
+                raise SchemaError(f"model_year {model_year} predates 17-character VINs")
             feature = feature_from_name(feature_text)
             availability = availability_from_name(avail_text)
-        except BadEnumValue as exc:
-            raise BadEnumValue(f"row {lineno}: {exc}") from None
-        key = _key(make, model, model_year, feature)
-        if key in seen:
-            raise DuplicateKey(f"row {lineno}: duplicate key {make}/{model}/{model_year}/{feature.value}")
-        seen.add(key)
-        records.append(TrimAvailabilityRecord(make, model, model_year, feature, availability))
+            records.append(TrimAvailabilityRecord(make, model, model_year, feature, availability))
     return Catalog(records=tuple(records), coverage_floor=coverage_floor)

@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 from . import datasets, estimator, vpic
-from .catalog import Catalog, FeatureId, PRIORITY_FEATURES, Availability, load_catalog
+from .catalog import Catalog, FeatureId, PRIORITY_FEATURES, Availability, load_catalog, text_lines
 from .datasets import ActivationTable, AdoptionSeries, FarsIngest, FleetSeries, bundled_data_dir
 from .errors import AdasFleetError, EmptyCohort
 from .estimator import CautionFlag, EstimatorConfig, PenetrationEstimate
@@ -144,8 +144,7 @@ def main(ctx, data_dir, output_format, strict_vin, vpic_mode, vpic_url):
 
 
 def _decode_rows(vins: list[str], config: RunConfig) -> tuple[list[dict], bool]:
-    cache_dir = Path(config.data_dir) / _CACHE_DIR_NAME if config.data_dir else bundled_data_dir() / _CACHE_DIR_NAME
-    cache = FixtureCache(cache_dir, config.vpic_mode) if cache_dir.is_dir() else None
+    cache = FixtureCache(Path(config.data_dir or bundled_data_dir()) / _CACHE_DIR_NAME, config.vpic_mode)
     rows, any_failed, parsed = [], False, []
     for text in vins:
         vin, warning = parse_vin_lenient(text)
@@ -165,7 +164,7 @@ def _decode_rows(vins: list[str], config: RunConfig) -> tuple[list[dict], bool]:
             row["status"] = f"warning: {exc}"
         parsed.append((row, vin.raw))
         rows.append(row)
-    if cache is not None and parsed:
+    if parsed:
         records = vpic.batch_decode([raw for _, raw in parsed], cache, base_url=config.vpic_url)
         for (row, _), record in zip(parsed, records):
             if record.error_text is not None and not record.make:
@@ -188,20 +187,25 @@ def _decode_rows(vins: list[str], config: RunConfig) -> tuple[list[dict], bool]:
 @click.option("--strict-vin", is_flag=True, default=None)
 @pass_config
 def decode(config: RunConfig, vins, vin_file, output_format, strict_vin):
-    """Parse and decode VINs; add make/model/features when a decode cache is present."""
+    """Parse and decode VINs; add make/model/features from the vPIC cache in <data-dir>/vpic_cache."""
+    if config.vpic_mode is CacheMode.RECORD_THEN_REPLAY and config.data_dir is None:
+        raise click.UsageError("--vpic-mode record needs --data-dir to hold its vpic_cache directory")
     collected = list(vins)
-    if vin_file is not None:
-        for line in Path(vin_file).read_text(encoding="utf-8").splitlines():
-            cell = line.split(",")[0].strip()
-            if cell and cell.lower() != "vin" and not cell.startswith("#"):
-                collected.append(cell)
-    if not collected:
-        raise click.UsageError("no VINs given; pass them as arguments or with --file")
     if strict_vin:
         config.strict_vin = True
     fmt = output_format or config.output_format
-
-    rows, any_failed = _decode_rows(collected, config)
+    try:
+        if vin_file is not None:
+            for line in text_lines(vin_file):
+                cell = line.split(",")[0].strip()
+                if cell and cell.lower() != "vin" and not cell.startswith("#"):
+                    collected.append(cell)
+        if not collected:
+            raise click.UsageError("no VINs given; pass them as arguments or with --file")
+        rows, any_failed = _decode_rows(collected, config)
+    except AdasFleetError as exc:
+        _echo_error(exc)
+        sys.exit(1)
     headers = ["vin", "status", "model_year", "wmi", "make", "model", "features"]
     if fmt == "json":
         click.echo(json.dumps(rows, indent=2))

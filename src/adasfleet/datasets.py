@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .catalog import Catalog, FeatureId, PRIORITY_FEATURES, Availability, _read_table, feature_from_name
+from .catalog import Catalog, FeatureId, PRIORITY_FEATURES, Availability, Table, at_row, feature_from_name, parse_year
 from .errors import (
     BadEnumValue,
     DuplicateKey,
@@ -32,30 +32,27 @@ ADOPTION_HEADER = ("feature", "model_year", "std_frac", "opt_frac")
 FLEET_HEADER = ("feature", "calendar_year", "equipped_frac")
 ACTIVATION_HEADER = ("feature", "rate", "source", "donor")
 FARS_REQUIRED_COLUMNS = ("vin", "crash_year")
+FARS_OPTIONAL_COLUMNS = ("make", "model", "model_year")
 
 
-def _parse_fraction(text: str, lineno: int, column: str) -> Decimal:
+def _parse_fraction(text: str, column: str) -> Decimal:
     try:
         value = Decimal(text)
     except InvalidOperation:
-        raise SchemaError(f"row {lineno}: {column} {text!r} is not a decimal fraction") from None
+        raise SchemaError(f"{column} {text!r} is not a decimal fraction") from None
     if not value.is_finite() or value < 0 or value > 1:
-        raise FractionOutOfRange(f"row {lineno}: {column} {text!r} is outside [0, 1]")
+        raise FractionOutOfRange(f"{column} {text!r} is outside [0, 1]")
     return value
 
 
-def _parse_year(text: str, lineno: int, column: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise SchemaError(f"row {lineno}: {column} {text!r} is not an integer year") from None
-
-
 def _check_contiguous(feature: FeatureId, years, kind: str) -> None:
+    """Reject interior gaps, naming at most the first 10; the work is bounded by len(years), not the span."""
     ordered = sorted(years)
-    missing = [y for y in range(ordered[0], ordered[-1] + 1) if y not in years]
-    if missing:
-        raise NonContiguousYears(f"{kind} series for {feature.value} is missing years {missing}")
+    count = ordered[-1] - ordered[0] + 1 - len(ordered)
+    if count:
+        shown = [y for a, b in zip(ordered, ordered[1:]) for y in range(a + 1, min(b, a + 11))][:10]
+        more = f" and {count - len(shown)} more" if count > len(shown) else ""
+        raise NonContiguousYears(f"{kind} series for {feature.value} is missing years {shown}{more}")
 
 
 @dataclass(frozen=True)
@@ -131,18 +128,22 @@ class ActivationTable:
 
 
 @dataclass(frozen=True)
-class FarsVehicleRecord:
-    """One crash-involved vehicle with its resolved feature availability."""
+class VehicleRecord:
+    """One decoded vehicle: a crash-file row (the first four fields) or a vPIC
+    decode (no crash year; make, model and, when the decode fell short, error_text)."""
 
     vin: str
-    crash_year: int
+    crash_year: int | None
     model_year: int | None
     feature_flags: dict[FeatureId, Availability] = field(default_factory=dict)
+    make: str = ""
+    model: str = ""
+    error_text: str | None = None
 
 
 @dataclass(frozen=True)
 class FarsIngest:
-    records: list[FarsVehicleRecord]
+    records: list[VehicleRecord]
     warnings: list[str]
 
     @property
@@ -153,20 +154,15 @@ class FarsIngest:
 def ingest_adoption_csv(source, allow_gaps: bool = False) -> dict[FeatureId, AdoptionSeries]:
     """One adoption series per feature present; violations carry row numbers."""
     by_feature: dict[FeatureId, dict[int, AdoptionPoint]] = {}
-    for lineno, (feature_text, year_text, std_text, opt_text) in _read_table(source, ADOPTION_HEADER):
-        try:
+    with Table(source, ADOPTION_HEADER) as table:
+        for feature_text, year_text, std_text, opt_text in table:
             feature = feature_from_name(feature_text)
-        except BadEnumValue as exc:
-            raise BadEnumValue(f"row {lineno}: {exc}") from None
-        year = _parse_year(year_text, lineno, "model_year")
-        std = _parse_fraction(std_text, lineno, "std_frac")
-        opt = _parse_fraction(opt_text, lineno, "opt_frac")
-        if std + opt > 1:
-            raise FractionOutOfRange(f"row {lineno}: std_frac + opt_frac = {std + opt} exceeds 1")
-        points = by_feature.setdefault(feature, {})
-        if year in points:
-            raise DuplicateKey(f"row {lineno}: duplicate year {year} for {feature.value}")
-        points[year] = AdoptionPoint(std, opt)
+            year = parse_year(year_text, "model_year")
+            point = AdoptionPoint(_parse_fraction(std_text, "std_frac"), _parse_fraction(opt_text, "opt_frac"))
+            points = by_feature.setdefault(feature, {})
+            if year in points:
+                raise DuplicateKey(f"duplicate year {year} for {feature.value}")
+            points[year] = point
     if not allow_gaps:
         for feature, points in by_feature.items():
             _check_contiguous(feature, points, "adoption")
@@ -176,17 +172,15 @@ def ingest_adoption_csv(source, allow_gaps: bool = False) -> dict[FeatureId, Ado
 def ingest_fleet_csv(source, allow_gaps: bool = False) -> dict[FeatureId, FleetSeries]:
     """One fleet equipped series per feature present."""
     by_feature: dict[FeatureId, dict[int, Decimal]] = {}
-    for lineno, (feature_text, year_text, frac_text) in _read_table(source, FLEET_HEADER):
-        try:
+    with Table(source, FLEET_HEADER) as table:
+        for feature_text, year_text, frac_text in table:
             feature = feature_from_name(feature_text)
-        except BadEnumValue as exc:
-            raise BadEnumValue(f"row {lineno}: {exc}") from None
-        year = _parse_year(year_text, lineno, "calendar_year")
-        frac = _parse_fraction(frac_text, lineno, "equipped_frac")
-        points = by_feature.setdefault(feature, {})
-        if year in points:
-            raise DuplicateKey(f"row {lineno}: duplicate year {year} for {feature.value}")
-        points[year] = frac
+            year = parse_year(year_text, "calendar_year")
+            frac = _parse_fraction(frac_text, "equipped_frac")
+            points = by_feature.setdefault(feature, {})
+            if year in points:
+                raise DuplicateKey(f"duplicate year {year} for {feature.value}")
+            points[year] = frac
     if not allow_gaps:
         for feature, points in by_feature.items():
             _check_contiguous(feature, points, "fleet")
@@ -196,39 +190,21 @@ def ingest_fleet_csv(source, allow_gaps: bool = False) -> dict[FeatureId, FleetS
 def ingest_activation_csv(source) -> ActivationTable:
     """Activation rates with their evidence class and, when assumed, the donor feature."""
     entries: dict[FeatureId, ActivationEntry] = {}
-    for lineno, (feature_text, rate_text, source_text, donor_text) in _read_table(source, ACTIVATION_HEADER):
-        try:
+    with Table(source, ACTIVATION_HEADER) as table:
+        for feature_text, rate_text, source_text, donor_text in table:
             feature = feature_from_name(feature_text)
-        except BadEnumValue as exc:
-            raise BadEnumValue(f"row {lineno}: {exc}") from None
-        rate = _parse_fraction(rate_text, lineno, "rate")
-        try:
-            src = ActivationSource(source_text.strip())
-        except ValueError:
-            raise BadEnumValue(
-                f"row {lineno}: source must be one of {[s.value for s in ActivationSource]}, got {source_text!r}"
-            ) from None
-        donor = None
-        if donor_text:
+            rate = _parse_fraction(rate_text, "rate")
             try:
-                donor = feature_from_name(donor_text)
-            except BadEnumValue as exc:
-                raise BadEnumValue(f"row {lineno}: {exc}") from None
-        if feature in entries:
-            raise DuplicateKey(f"row {lineno}: duplicate activation entry for {feature.value}")
-        try:
+                src = ActivationSource(source_text)
+            except ValueError:
+                raise BadEnumValue(
+                    f"source must be one of {[s.value for s in ActivationSource]}, got {source_text!r}"
+                ) from None
+            donor = feature_from_name(donor_text) if donor_text else None
+            if feature in entries:
+                raise DuplicateKey(f"duplicate activation entry for {feature.value}")
             entries[feature] = ActivationEntry(rate, src, donor)
-        except BadEnumValue as exc:
-            raise BadEnumValue(f"row {lineno}: {exc}") from None
     return ActivationTable(entries)
-
-
-def _fars_columns(header: list[str]) -> dict[str, int]:
-    columns = {name: i for i, name in enumerate(header)}
-    for required in FARS_REQUIRED_COLUMNS:
-        if required not in columns:
-            raise SchemaError(f"crash vehicle file must have a {required!r} column, got {header}")
-    return columns
 
 
 def ingest_fars_csv(source, catalog: Catalog) -> FarsIngest:
@@ -237,56 +213,40 @@ def ingest_fars_csv(source, catalog: Catalog) -> FarsIngest:
     Feature flags resolve through the catalog when make, model, and model year
     are all known (model year from the VIN, unless overridden by a column).
     """
-    text = Path(source).read_text(encoding="utf-8") if isinstance(source, (str, Path)) else source.read()
-    records: list[FarsVehicleRecord] = []
+    records: list[VehicleRecord] = []
     warnings: list[str] = []
-    columns = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if columns is None:
-            columns = _fars_columns(cells)
-            width = len(cells)
-            continue
-        if len(cells) != width:
-            raise SchemaError(f"row {lineno}: expected {width} columns, got {len(cells)}")
+    with Table(source, FARS_REQUIRED_COLUMNS, FARS_OPTIONAL_COLUMNS) as table:
+        for vin_text, crash_text, make, model, year_text in table:
+            crash_year = parse_year(crash_text, "crash_year")
+            vin, warning = parse_vin_lenient(vin_text)
+            row_warned = warning is not None
+            if warning:
+                warnings.append(at_row(table.lineno, warning))
 
-        def cell(name):
-            return cells[columns[name]] if name in columns else ""
+            model_year: int | None = None
+            if year_text:
+                model_year = parse_year(year_text, "model_year")
+            elif vin is not None:
+                try:
+                    model_year = vin.model_year
+                except IllegalYearCode as exc:
+                    warnings.append(at_row(table.lineno, exc))
+                    row_warned = True
 
-        vin_text = cell("vin")
-        crash_year = _parse_year(cell("crash_year"), lineno, "crash_year")
-        vin, warning = parse_vin_lenient(vin_text)
-        row_warned = warning is not None
-        if warning:
-            warnings.append(f"row {lineno}: {warning}")
-
-        model_year: int | None = None
-        if cell("model_year"):
-            model_year = _parse_year(cell("model_year"), lineno, "model_year")
-        elif vin is not None:
-            try:
-                model_year = vin.model_year
-            except IllegalYearCode as exc:
-                warnings.append(f"row {lineno}: {exc}")
-                row_warned = True
-
-        make, model = cell("make"), cell("model")
-        flags: dict[FeatureId, Availability] = {}
-        if make and model and model_year is not None:
-            flags = {f: catalog.lookup_availability(make, model, model_year, f) for f in FeatureId}
-        elif "make" in columns and "model" in columns and not row_warned:
-            # The file promises identity columns, so an unresolvable row is an anomaly.
-            warnings.append(f"row {lineno}: cannot resolve features for {vin_text!r} (missing make/model/model_year)")
-        records.append(FarsVehicleRecord(vin_text.upper(), crash_year, model_year, flags))
-    if columns is None:
-        raise SchemaError("file has no header row")
+            flags: dict[FeatureId, Availability] = {}
+            if make and model and model_year is not None:
+                flags = {f: catalog.lookup_availability(make, model, model_year, f) for f in FeatureId}
+            elif "make" in table.header and "model" in table.header and not row_warned:
+                # The file promises identity columns, so an unresolvable row is an anomaly.
+                warnings.append(at_row(
+                    table.lineno, f"cannot resolve features for {vin_text!r} (missing make/model/model_year)"
+                ))
+            records.append(VehicleRecord(vin_text.upper(), crash_year, model_year, flags))
     return FarsIngest(records, warnings)
 
 
 def fars_availability_fraction(
-    records: list[FarsVehicleRecord], feature: FeatureId, model_year: int
+    records: list[VehicleRecord], feature: FeatureId, model_year: int
 ) -> tuple[Fraction, Fraction, int]:
     """(standard, optional, n) over the model-year cohort with known flags.
 
@@ -310,7 +270,7 @@ def fars_availability_fraction(
     return Fraction(standard, known), Fraction(optional, known), known
 
 
-def fars_adoption_series(records: list[FarsVehicleRecord], feature: FeatureId) -> AdoptionSeries:
+def fars_adoption_series(records: list[VehicleRecord], feature: FeatureId) -> AdoptionSeries:
     """Adoption series built from crash-cohort fractions, one point per model year seen."""
     points: dict[int, AdoptionPoint] = {}
     for year in sorted({r.model_year for r in records if r.model_year is not None}):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .catalog import Availability, DEFAULT_MANDATES, FeatureId, MandateInfo, PRIORITY_FEATURES
-from .datasets import ActivationTable, AdoptionSeries, FarsVehicleRecord, FleetSeries
+from .datasets import ActivationTable, AdoptionSeries, FleetSeries, VehicleRecord
 from .errors import EmptyCohort, InsufficientData, NoCandidateQualifies, YearNotInSeries
 
 
@@ -105,11 +105,7 @@ class PenetrationEstimate:
     cautions: frozenset[CautionFlag]
 
     def __post_init__(self):
-        expected = int(
-            (Decimal(self.equipped_pct * self.activation_pct) / 100).quantize(
-                Decimal("1"), rounding=ROUND_HALF_UP
-            )
-        )
+        expected = _round_half_up_pct(Decimal(self.equipped_pct * self.activation_pct) / 10000)
         if self.activated_of_fleet_pct != expected:
             raise ValueError(
                 f"activated_of_fleet_pct {self.activated_of_fleet_pct} must equal "
@@ -197,18 +193,17 @@ def transfer_fleet_rate(
     match: LagMatch,
     analog_fleet: FleetSeries,
     target_year: int,
-    mandates: Mapping[FeatureId, MandateInfo] | None = None,
+    config: EstimatorConfig = DEFAULT_CONFIG,
 ) -> FleetTransfer:
-    """Analog fleet equipped rate at target_year - lag, with mandate caution."""
+    """Analog fleet equipped rate at target_year - lag, with the config's mandate caution."""
     if analog_fleet.feature is not match.analog:
         raise ValueError(
             f"fleet series is for {analog_fleet.feature.value}, match analog is {match.analog.value}"
         )
     source_year = target_year - match.lag_years
     rate = analog_fleet.rate(source_year)
-    mandates = DEFAULT_MANDATES if mandates is None else mandates
     cautions = set()
-    mandate = mandates.get(match.analog)
+    mandate = config.mandates.get(match.analog)
     if mandate is not None and source_year >= mandate.announced_year:
         cautions.add(CautionFlag(CautionKind.ANALOG_UNDER_MANDATE, source_year))
     return FleetTransfer(rate=rate, source_year=source_year, cautions=frozenset(cautions))
@@ -238,7 +233,7 @@ def _lag_route(
         return series is not None and (year - lag) in series.points
 
     match = match_lag(target, candidates, config, admissible=transferable)
-    transfer = transfer_fleet_rate(match, fleet_series_set[match.analog], year, config.mandates)
+    transfer = transfer_fleet_rate(match, fleet_series_set[match.analog], year, config)
     return EquippedEstimate(
         rate=transfer.rate,
         provenance=Provenance(kind, match.analog, match.lag_years),
@@ -296,10 +291,7 @@ def compose_activated(equipped, activation) -> tuple[int, int, int]:
     """
     equipped_pct = _round_half_up_pct(equipped)
     activation_pct = _round_half_up_pct(activation)
-    activated = int(
-        (Decimal(equipped_pct * activation_pct) / 100).quantize(Decimal("1"), rounding=ROUND_HALF_UP)
-    )
-    return equipped_pct, activation_pct, activated
+    return equipped_pct, activation_pct, _round_half_up_pct(Decimal(equipped_pct * activation_pct) / 10000)
 
 
 def estimate_table(
@@ -340,7 +332,7 @@ def forecast_error(predicted: FleetSeries, estimated: FleetSeries, year: int) ->
 
 
 def fleet_any_feature_share(
-    records: Sequence[FarsVehicleRecord], features: set[FeatureId]
+    records: Sequence[VehicleRecord], features: set[FeatureId]
 ) -> tuple[int, Fraction]:
     """Count and share of records with any listed feature standard or optional.
 

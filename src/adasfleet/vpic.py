@@ -9,6 +9,7 @@ network connection.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +18,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .catalog import Availability, DEFAULT_COVERAGE_FLOOR, FeatureId, feature_from_name
-from .errors import BadEnumValue, IllegalYearCode, MalformedResponse, NetworkError, SchemaError
+from .catalog import Availability, DEFAULT_COVERAGE_FLOOR, FeatureId, Table, feature_from_name
+from .datasets import VehicleRecord
+from .errors import IllegalYearCode, MalformedResponse, NetworkError, SchemaError
 from .vin import parse_vin, parse_vin_lenient
 
 DEFAULT_BASE_URL = "https://vpic.nhtsa.dot.gov/api/vehicles/DecodeVINValuesBatch/"
@@ -38,24 +40,13 @@ _VALUE_MAP = {
 
 def load_variable_map(source=None) -> dict[str, FeatureId]:
     """Service variable name -> feature mapping, shipped as a data file."""
-    path = Path(source) if source is not None else Path(__file__).parent / "data" / "vpic_variables.csv"
+    path = Path(__file__).parent / "data" / "vpic_variables.csv" if source is None else source
     mapping: dict[str, FeatureId] = {}
-    header_seen = False
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if not header_seen:
-            if line.strip() != "variable,feature":
-                raise SchemaError(f"expected header 'variable,feature', got {line!r}")
-            header_seen = True
-            continue
-        variable, _, feature_name = line.rpartition(",")
-        if not variable:
-            raise SchemaError(f"row {lineno}: expected 'variable,feature'")
-        try:
-            mapping[variable.strip()] = feature_from_name(feature_name)
-        except BadEnumValue as exc:
-            raise BadEnumValue(f"row {lineno}: {exc}") from None
+    with Table(path, ("variable", "feature")) as table:
+        for variable, feature_name in table:
+            if not variable:
+                raise SchemaError("variable name is empty")
+            mapping[variable] = feature_from_name(feature_name)
     return mapping
 
 
@@ -83,11 +74,18 @@ class FixtureCache:
             raise MalformedResponse(f"cached document for {vin} is not valid JSON: {exc}") from None
 
     def store(self, vin: str, document: Mapping) -> None:
+        """Write through a temporary file, so an interrupted write leaves no partial document."""
+        text = json.dumps(dict(document), indent=2, sort_keys=True)
+        directory = Path(self.path)
+        temp = directory / f".{vin}.{os.getpid()}.{threading.get_ident()}.tmp"
         with self._lock:
-            Path(self.path).mkdir(parents=True, exist_ok=True)
-            (Path(self.path) / f"{vin}.json").write_text(
-                json.dumps(dict(document), indent=2, sort_keys=True), encoding="utf-8"
-            )
+            directory.mkdir(parents=True, exist_ok=True)
+            try:
+                temp.write_text(text, encoding="utf-8")
+                os.replace(temp, directory / f"{vin}.json")
+            except BaseException:
+                temp.unlink(missing_ok=True)
+                raise
 
 
 @dataclass(frozen=True)
@@ -97,16 +95,6 @@ class RequestLimits:
     attempts: int = 3
     base_delay: float = 1.0
     timeout: float = 30.0
-
-
-@dataclass(frozen=True)
-class VpicRecord:
-    vin: str
-    make: str
-    model: str
-    model_year: int | None
-    feature_flags: dict[FeatureId, Availability]
-    error_text: str | None = None
 
 
 def _first(raw: Mapping[str, str], keys) -> str | None:
@@ -120,8 +108,8 @@ def normalize_vpic_record(
     raw: Mapping[str, str],
     variable_map: Mapping[str, FeatureId] | None = None,
     coverage_floor: int = DEFAULT_COVERAGE_FLOOR,
-) -> VpicRecord:
-    """Flat name/value decode fields -> VpicRecord.
+) -> VehicleRecord:
+    """Flat name/value decode fields -> VehicleRecord, with no crash year.
 
     Unrecognized variables are ignored; a mapped variable with a blank value
     becomes Unknown below the coverage floor and NotAvailable at or above it.
@@ -154,8 +142,9 @@ def normalize_vpic_record(
         if decoded_year is not None and decoded_year != model_year:
             note = f"model year {model_year} disagrees with VIN year code ({decoded_year})"
             error_text = f"{error_text}; {note}" if error_text else note
-    return VpicRecord(
+    return VehicleRecord(
         vin=vin.upper(),
+        crash_year=None,
         make=str(raw.get("Make", "")).strip(),
         model=str(raw.get("Model", "")).strip(),
         model_year=model_year,
@@ -164,8 +153,8 @@ def normalize_vpic_record(
     )
 
 
-def _miss_record(vin: str, reason: str) -> VpicRecord:
-    return VpicRecord(vin=vin, make="", model="", model_year=None, feature_flags={}, error_text=reason)
+def _miss_record(vin: str, reason: str) -> VehicleRecord:
+    return VehicleRecord(vin=vin, crash_year=None, model_year=None, feature_flags={}, error_text=reason)
 
 
 def split_batches(items: list, batch_size: int) -> list[list]:
@@ -191,7 +180,7 @@ def _fetch_batch(
     transport: Callable,
     variable_map: Mapping[str, FeatureId],
     coverage_floor: int,
-) -> tuple[list[VpicRecord], list[dict]]:
+) -> tuple[list[VehicleRecord], list[dict]]:
     """Fetch one batch with bounded retries; returns records plus raw documents."""
     body = {"DATA": ";".join(batch), "format": "json"}
     last_error = None
@@ -236,7 +225,7 @@ def batch_decode(
     transport: Callable | None = None,
     variable_map: Mapping[str, FeatureId] | None = None,
     coverage_floor: int = DEFAULT_COVERAGE_FLOOR,
-) -> list[VpicRecord]:
+) -> list[VehicleRecord]:
     """Decode VINs in input order: cache first, then the service if allowed.
 
     Offline mode never touches the network; misses get error_text instead.
@@ -247,7 +236,7 @@ def batch_decode(
     vins = [parse_vin(v, strict=False).raw for v in vins]
     variable_map = load_variable_map() if variable_map is None else variable_map
 
-    records: list[VpicRecord | None] = [None] * len(vins)
+    records: list[VehicleRecord | None] = [None] * len(vins)
     to_fetch: list[int] = []
     for i, vin in enumerate(vins):
         raw = cache.load(vin) if cache.mode is not CacheMode.LIVE_ONLY else None

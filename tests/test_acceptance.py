@@ -18,7 +18,7 @@ from adasfleet.cli import RunConfig, build_fars_series, load_bundle, main
 from adasfleet.datasets import (
     AdoptionPoint,
     AdoptionSeries,
-    FarsVehicleRecord,
+    VehicleRecord,
     fars_availability_fraction,
 )
 from adasfleet.errors import CheckDigitMismatch, NoCandidateQualifies
@@ -118,11 +118,11 @@ def test_criterion_4_any_feature_share():
     unknown: dict = {}
     absent = {f: Availability.NOT_AVAILABLE for f in (ACC, LCA, LKA)}
     records = []
-    records += [FarsVehicleRecord("", 2019, 2018, standard) for _ in range(positives // 2)]
-    records += [FarsVehicleRecord("", 2019, 2018, optional) for _ in range(positives - positives // 2)]
+    records += [VehicleRecord("", 2019, 2018, standard) for _ in range(positives // 2)]
+    records += [VehicleRecord("", 2019, 2018, optional) for _ in range(positives - positives // 2)]
     remaining = total - positives
-    records += [FarsVehicleRecord("", 2019, 2012, unknown) for _ in range(remaining // 2)]
-    records += [FarsVehicleRecord("", 2019, 2018, absent) for _ in range(remaining - remaining // 2)]
+    records += [VehicleRecord("", 2019, 2012, unknown) for _ in range(remaining // 2)]
+    records += [VehicleRecord("", 2019, 2018, absent) for _ in range(remaining - remaining // 2)]
     count, share = fleet_any_feature_share(records, {ACC, LCA, LKA})
     assert count == positives
     assert Decimal("0.0174") <= share <= Decimal("0.0176")

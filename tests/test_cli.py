@@ -7,6 +7,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from adasfleet import vpic
 from adasfleet.cli import main
 from adasfleet.vin import compute_check_digit
 from adasfleet.vpic import CacheMode, FixtureCache
@@ -68,6 +69,37 @@ class TestDecode:
     def test_no_vins_is_usage_error(self, runner):
         result = runner.invoke(main, ["decode"])
         assert result.exit_code == 2
+
+    def test_non_utf8_file_is_one_error_line(self, runner, tmp_path):
+        source = tmp_path / "vins.csv"
+        source.write_bytes(b"vin\n\xff" + make_vin(1).encode() + b"\n")
+        result = runner.invoke(main, ["decode", "--file", str(source)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "not UTF-8" in result.stderr
+
+    def test_record_mode_fills_a_fresh_data_dir(self, runner, tmp_path, monkeypatch):
+        requests = []
+
+        def service(url, body, timeout):
+            requests.append(body)
+            vins = body["DATA"].split(";")
+            return {"Results": [{"VIN": v, "Make": "ACME", "Model": "ALPHA", "Model Year": "2021"} for v in vins]}
+
+        monkeypatch.setattr(vpic, "_http_transport", service)
+        data_dir = tmp_path / "fresh"
+        vins = [make_vin(i) for i in range(3)]
+        args = ["--data-dir", str(data_dir), "--vpic-mode", "record", "decode", *vins, "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert [row["make"] for row in json.loads(result.stdout)] == ["ACME"] * 3
+        assert len(requests) == 1
+        assert sorted(p.name for p in (data_dir / "vpic_cache").iterdir()) == sorted(f"{v}.json" for v in vins)
+
+    def test_record_mode_without_data_dir_is_usage_error(self, runner):
+        result = runner.invoke(main, ["--vpic-mode", "record", "decode", make_vin(1)])
+        assert result.exit_code == 2
+        assert "--data-dir" in result.output
 
     def test_cache_enrichment(self, runner, tmp_path, data_dir_copy):
         vin = make_vin(5)
@@ -202,6 +234,13 @@ class TestIngest:
         path.write_text("feature,model_year,std_frac,opt_frac\nadaptive_cruise_control,2020,0.7,0.4\n", encoding="utf-8")
         result = runner.invoke(main, ["ingest", "--kind", "adoption", str(path)])
         assert result.exit_code == 1
+
+    def test_non_utf8_file_is_one_error_line(self, runner, tmp_path):
+        path = tmp_path / "adoption.csv"
+        path.write_bytes(b"feature,model_year,std_frac,opt_frac\n\xff\n")
+        result = runner.invoke(main, ["ingest", "--kind", "adoption", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
     def test_fars_reports_warnings(self, runner, tmp_path):
         path = tmp_path / "fars.csv"

@@ -11,7 +11,7 @@ from adasfleet.datasets import (
     ActivationSource,
     AdoptionPoint,
     AdoptionSeries,
-    FarsVehicleRecord,
+    VehicleRecord,
     FleetSeries,
     bundled_data_dir,
     fars_adoption_series,
@@ -75,6 +75,17 @@ class TestAdoptionIngestion:
             ingest_adoption_csv(path)
         series = ingest_adoption_csv(path, allow_gaps=True)
         assert sorted(series[FeatureId.ELECTRONIC_STABILITY_CONTROL].points) == [2003, 2008]
+
+    def test_huge_year_gap_is_counted_not_listed(self, tmp_path):
+        path = write(
+            tmp_path, "a.csv",
+            "feature,model_year,std_frac,opt_frac\n"
+            "adaptive_cruise_control,1,0.10,0.40\n"
+            f"adaptive_cruise_control,{10**20},0.15,0.55\n",
+        )
+        missing = 10**20 - 2
+        with pytest.raises(NonContiguousYears, match=rf"missing years \[2, 3, .*, 11\] and {missing - 10} more$"):
+            ingest_adoption_csv(path)
 
     def test_contiguous_years_accepted(self, tmp_path):
         path = write(
@@ -264,7 +275,7 @@ class TestFarsIngestion:
 
 
 def cohort_record(feature_flags, model_year=2021):
-    return FarsVehicleRecord(vin="", crash_year=2021, model_year=model_year, feature_flags=feature_flags)
+    return VehicleRecord(vin="", crash_year=2021, model_year=model_year, feature_flags=feature_flags)
 
 
 class TestFarsFractions:

@@ -13,7 +13,7 @@ from adasfleet.datasets import (
     ActivationTable,
     AdoptionPoint,
     AdoptionSeries,
-    FarsVehicleRecord,
+    VehicleRecord,
     FleetSeries,
 )
 from adasfleet.errors import EmptyCohort, InsufficientData, NoCandidateQualifies, YearNotInSeries
@@ -415,7 +415,7 @@ class TestForecastError:
 
 
 def flag_record(flags):
-    return FarsVehicleRecord(vin="", crash_year=2019, model_year=2018, feature_flags=flags)
+    return VehicleRecord(vin="", crash_year=2019, model_year=2018, feature_flags=flags)
 
 
 class TestAnyFeatureShare:

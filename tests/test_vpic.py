@@ -1,9 +1,12 @@
 import json
 import threading
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from adasfleet.catalog import Availability, FeatureId
+from adasfleet.datasets import AdoptionPoint, fars_adoption_series
 from adasfleet.errors import MalformedResponse, NetworkError, WrongLength
 from adasfleet.vin import compute_check_digit
 from adasfleet.vpic import (
@@ -103,6 +106,28 @@ class TestNormalize:
         assert mapping[LCA_VAR] is FeatureId.LANE_CENTERING_ASSIST
 
 
+class TestFixtureCache:
+    def test_interrupted_store_leaves_no_partial_document(self, tmp_path, monkeypatch):
+        cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
+        vin = make_vin(0)
+        real_write_text = Path.write_text
+
+        def half_write(path, text, **kwargs):
+            real_write_text(path, text[: len(text) // 2], **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_write)
+        with pytest.raises(OSError, match="disk full"):
+            cache.store(vin, document(vin))
+        assert list((tmp_path / "cache").iterdir()) == []
+        assert cache.load(vin) is None
+
+        monkeypatch.setattr(Path, "write_text", real_write_text)
+        cache.store(vin, document(vin))
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{vin}.json"]
+        assert cache.load(vin) == document(vin)
+
+
 class TestOfflineMode:
     def test_cache_hits_make_zero_network_calls(self, warm_cache):
         transport = CountingTransport()
@@ -130,6 +155,16 @@ class TestOfflineMode:
         first = batch_decode(vins, warm_cache, FAST, transport=CountingTransport())
         second = batch_decode(vins, warm_cache, FAST, transport=CountingTransport())
         assert first == second
+
+    def test_replayed_decodes_feed_the_crash_cohort_path(self, tmp_path):
+        cache = FixtureCache(tmp_path / "cache", CacheMode.OFFLINE)
+        values = ["Standard", "Standard", "Optional", ""]
+        for serial, value in enumerate(values):
+            cache.store(make_vin(serial), document(make_vin(serial), **{ACC_VAR: value}))
+        vins = [make_vin(serial) for serial in range(len(values) + 1)]  # the last one is a cache miss
+        records = batch_decode(vins, cache, FAST, transport=CountingTransport())
+        series = fars_adoption_series(records, FeatureId.ADAPTIVE_CRUISE_CONTROL)
+        assert series.points == {2021: AdoptionPoint(Fraction(1, 2), Fraction(1, 4))}
 
     def test_structurally_invalid_vin_raises(self, warm_cache):
         with pytest.raises(WrongLength):
