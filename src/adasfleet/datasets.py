@@ -78,9 +78,6 @@ class AdoptionSeries:
     feature: FeatureId
     points: dict[int, AdoptionPoint]
 
-    def years(self) -> list[int]:
-        return sorted(self.points)
-
 
 @dataclass(frozen=True)
 class FleetSeries:
@@ -245,26 +242,31 @@ def ingest_fars_csv(source, catalog: Catalog) -> FarsIngest:
     return FarsIngest(records, warnings)
 
 
-def fars_availability_fraction(
-    records: list[VehicleRecord], feature: FeatureId, model_year: int
-) -> tuple[Fraction, Fraction, int]:
-    """(standard, optional, n) over the model-year cohort with known flags.
+def _cohort_counts(records: list[VehicleRecord], feature: FeatureId) -> dict[int | None, list[int]]:
+    """Model year -> [standard, optional, known] for one feature, in one pass over the records.
 
     Unknown flags are excluded from the denominator rather than counted as
     not-available, so pre-coverage vehicles cannot depress the fractions.
     """
-    standard = optional = known = 0
+    counts: dict[int | None, list[int]] = {}
     for rec in records:
-        if rec.model_year != model_year:
-            continue
         flag = rec.feature_flags.get(feature, Availability.UNKNOWN)
         if flag is Availability.UNKNOWN:
             continue
-        known += 1
+        cohort = counts.setdefault(rec.model_year, [0, 0, 0])
+        cohort[2] += 1
         if flag is Availability.STANDARD:
-            standard += 1
+            cohort[0] += 1
         elif flag is Availability.OPTIONAL:
-            optional += 1
+            cohort[1] += 1
+    return counts
+
+
+def fars_availability_fraction(
+    records: list[VehicleRecord], feature: FeatureId, model_year: int
+) -> tuple[Fraction, Fraction, int]:
+    """(standard, optional, n) over the model-year cohort with known flags."""
+    standard, optional, known = _cohort_counts(records, feature).get(model_year, (0, 0, 0))
     if known == 0:
         raise EmptyCohort(f"no {feature.value} records with known availability for model year {model_year}")
     return Fraction(standard, known), Fraction(optional, known), known
@@ -272,13 +274,12 @@ def fars_availability_fraction(
 
 def fars_adoption_series(records: list[VehicleRecord], feature: FeatureId) -> AdoptionSeries:
     """Adoption series built from crash-cohort fractions, one point per model year seen."""
-    points: dict[int, AdoptionPoint] = {}
-    for year in sorted({r.model_year for r in records if r.model_year is not None}):
-        try:
-            std, opt, _ = fars_availability_fraction(records, feature, year)
-        except EmptyCohort:
-            continue
-        points[year] = AdoptionPoint(std, opt)
+    counts = _cohort_counts(records, feature)
+    counts.pop(None, None)
+    points = {
+        year: AdoptionPoint(Fraction(standard, known), Fraction(optional, known))
+        for year, (standard, optional, known) in sorted(counts.items())
+    }
     if not points:
         raise EmptyCohort(f"no {feature.value} cohorts with known availability in the records")
     return AdoptionSeries(feature, points)

@@ -55,24 +55,34 @@ class Vin:
         return decode_model_year(self.year_code, self.raw[6])
 
 
-def _validate_chars(text: str) -> None:
+def _parse(text: str) -> tuple[Vin, str]:
+    """The normalized VIN and the check digit implied by its other 16 characters.
+
+    Only structural problems (length, character set) raise. Position 9 has
+    weight 0, so its own value never affects the implied digit.
+    """
+    text = text.strip().upper()
     if len(text) != VIN_LENGTH:
         raise WrongLength(text)
     for i, c in enumerate(text, start=1):
         if c not in LEGAL_CHARS:
             raise ForbiddenCharacter(c, i)
+    remainder = sum(_TRANSLITERATION[c] * w for c, w in zip(text, _WEIGHTS)) % 11
+    vin = Vin(
+        raw=text,
+        wmi=text[0:3],
+        vds=text[3:8],
+        check_digit=text[8],
+        year_code=text[9],
+        plant_code=text[10],
+        serial=text[11:17],
+    )
+    return vin, "X" if remainder == 10 else str(remainder)
 
 
 def compute_check_digit(text: str) -> str:
-    """Check digit implied by the 16 non-check characters of a 17-char VIN.
-
-    Position 9 carries weight 0, so its input value never affects the result.
-    """
-    text = text.strip().upper()
-    _validate_chars(text)
-    total = sum(_TRANSLITERATION[c] * w for c, w in zip(text, _WEIGHTS))
-    remainder = total % 11
-    return "X" if remainder == 10 else str(remainder)
+    """Check digit implied by the 16 non-check characters of a 17-char VIN."""
+    return _parse(text)[1]
 
 
 def parse_vin(text: str, strict: bool = True) -> Vin:
@@ -82,20 +92,10 @@ def parse_vin(text: str, strict: bool = True) -> Vin:
     mismatch raises only when strict; lenient callers that also want the
     warning text should use parse_vin_lenient.
     """
-    text = text.strip().upper()
-    _validate_chars(text)
-    expected = compute_check_digit(text)
-    if strict and text[8] != expected:
-        raise CheckDigitMismatch(expected, text[8], text)
-    return Vin(
-        raw=text,
-        wmi=text[0:3],
-        vds=text[3:8],
-        check_digit=text[8],
-        year_code=text[9],
-        plant_code=text[10],
-        serial=text[11:17],
-    )
+    vin, expected = _parse(text)
+    if strict and vin.check_digit != expected:
+        raise CheckDigitMismatch(expected, vin.check_digit, vin.raw)
+    return vin
 
 
 def parse_vin_lenient(text: str) -> tuple[Vin | None, str | None]:
@@ -105,11 +105,12 @@ def parse_vin_lenient(text: str) -> tuple[Vin | None, str | None]:
     a check-digit mismatch gives (vin, message); clean parses give (vin, None).
     """
     try:
-        return parse_vin(text, strict=True), None
-    except CheckDigitMismatch as exc:
-        return parse_vin(text, strict=False), str(exc)
+        vin, expected = _parse(text)
     except (WrongLength, ForbiddenCharacter) as exc:
         return None, str(exc)
+    if vin.check_digit != expected:
+        return vin, str(CheckDigitMismatch(expected, vin.check_digit, vin.raw))
+    return vin, None
 
 
 def decode_model_year(year_code: str, position7: str) -> int:

@@ -8,6 +8,7 @@ network connection.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -48,6 +49,12 @@ def load_variable_map(source=None) -> dict[str, FeatureId]:
                 raise SchemaError("variable name is empty")
             mapping[variable] = feature_from_name(feature_name)
     return mapping
+
+
+@functools.cache
+def _bundled_variable_map() -> dict[str, FeatureId]:
+    """The shipped variable map, read once per process."""
+    return load_variable_map()
 
 
 class CacheMode(Enum):
@@ -104,17 +111,12 @@ def _first(raw: Mapping[str, str], keys) -> str | None:
     return None
 
 
-def normalize_vpic_record(
-    raw: Mapping[str, str],
-    variable_map: Mapping[str, FeatureId] | None = None,
-    coverage_floor: int = DEFAULT_COVERAGE_FLOOR,
-) -> VehicleRecord:
+def normalize_vpic_record(raw: Mapping[str, str]) -> VehicleRecord:
     """Flat name/value decode fields -> VehicleRecord, with no crash year.
 
     Unrecognized variables are ignored; a mapped variable with a blank value
     becomes Unknown below the coverage floor and NotAvailable at or above it.
     """
-    variable_map = load_variable_map() if variable_map is None else variable_map
     vin = _first(raw, _VIN_KEYS)
     if vin is None:
         raise MalformedResponse("decode response does not echo the VIN")
@@ -127,8 +129,8 @@ def normalize_vpic_record(
         raise MalformedResponse(f"decode response for {vin} has model year {year_text!r}") from None
 
     flags: dict[FeatureId, Availability] = {}
-    absent = Availability.UNKNOWN if model_year < coverage_floor else Availability.NOT_AVAILABLE
-    for variable, feature in variable_map.items():
+    absent = Availability.UNKNOWN if model_year < DEFAULT_COVERAGE_FLOOR else Availability.NOT_AVAILABLE
+    for variable, feature in _bundled_variable_map().items():
         value = str(raw.get(variable, "")).strip().lower()
         flags[feature] = _VALUE_MAP.get(value, absent)
 
@@ -174,14 +176,13 @@ def _http_transport(url: str, body: Mapping[str, str], timeout: float) -> dict:
 
 
 def _fetch_batch(
-    batch: list[str],
-    base_url: str,
-    limits: RequestLimits,
-    transport: Callable,
-    variable_map: Mapping[str, FeatureId],
-    coverage_floor: int,
-) -> tuple[list[VehicleRecord], list[dict]]:
-    """Fetch one batch with bounded retries; returns records plus raw documents."""
+    batch: list[str], cache: FixtureCache, base_url: str, limits: RequestLimits, transport: Callable
+) -> list[VehicleRecord]:
+    """Fetch one batch, retrying only transport (OS-level) errors.
+
+    In record mode the batch's documents are cached as soon as all of them
+    normalize, so a later batch's failure cannot lose them.
+    """
     body = {"DATA": ";".join(batch), "format": "json"}
     last_error = None
     for attempt in range(limits.attempts):
@@ -190,9 +191,7 @@ def _fetch_batch(
         try:
             payload = transport(base_url, body, limits.timeout)
             break
-        except MalformedResponse:
-            raise
-        except Exception as exc:
+        except OSError as exc:
             last_error = exc
     else:
         raise NetworkError(f"batch of {len(batch)} VINs failed after {limits.attempts} attempts: {last_error}")
@@ -205,16 +204,15 @@ def _fetch_batch(
         echoed = _first(raw, _VIN_KEYS) if isinstance(raw, Mapping) else None
         if echoed:
             by_vin[echoed.upper()] = raw
-    records, documents = [], []
-    for vin in batch:
-        raw = by_vin.get(vin)
-        if raw is None:
-            records.append(_miss_record(vin, "missing from response"))
-            documents.append(None)
-        else:
-            records.append(normalize_vpic_record(raw, variable_map, coverage_floor))
-            documents.append(raw)
-    return records, documents
+    records = [
+        normalize_vpic_record(by_vin[vin]) if vin in by_vin else _miss_record(vin, "missing from response")
+        for vin in batch
+    ]
+    if cache.mode is CacheMode.RECORD_THEN_REPLAY:
+        for vin in batch:
+            if vin in by_vin:
+                cache.store(vin, by_vin[vin])
+    return records
 
 
 def batch_decode(
@@ -223,25 +221,23 @@ def batch_decode(
     limits: RequestLimits = RequestLimits(),
     base_url: str = DEFAULT_BASE_URL,
     transport: Callable | None = None,
-    variable_map: Mapping[str, FeatureId] | None = None,
-    coverage_floor: int = DEFAULT_COVERAGE_FLOOR,
 ) -> list[VehicleRecord]:
     """Decode VINs in input order: cache first, then the service if allowed.
 
     Offline mode never touches the network; misses get error_text instead.
-    Record mode fetches misses and writes them back to the cache. Live mode
-    skips the cache in both directions. Structurally invalid VINs are a
-    precondition violation and raise before any request is made.
+    Record mode fetches misses and writes each batch back to the cache as it
+    succeeds. Live mode skips the cache in both directions. Structurally
+    invalid VINs are a precondition violation and raise before any request
+    is made.
     """
     vins = [parse_vin(v, strict=False).raw for v in vins]
-    variable_map = load_variable_map() if variable_map is None else variable_map
 
     records: list[VehicleRecord | None] = [None] * len(vins)
     to_fetch: list[int] = []
     for i, vin in enumerate(vins):
         raw = cache.load(vin) if cache.mode is not CacheMode.LIVE_ONLY else None
         if raw is not None:
-            records[i] = normalize_vpic_record(raw, variable_map, coverage_floor)
+            records[i] = normalize_vpic_record(raw)
         elif cache.mode is CacheMode.OFFLINE:
             records[i] = _miss_record(vin, "cache miss")
         else:
@@ -252,19 +248,15 @@ def batch_decode(
         batches = split_batches(to_fetch, limits.batch_size)
 
         def run(batch_indices):
-            batch = [vins[i] for i in batch_indices]
             try:
-                return _fetch_batch(batch, base_url, limits, transport, variable_map, coverage_floor)
+                return _fetch_batch([vins[i] for i in batch_indices], cache, base_url, limits, transport)
             except NetworkError:
                 if cache.mode is CacheMode.LIVE_ONLY:
                     raise
-                return [_miss_record(vins[i], "network error") for i in batch_indices], [None] * len(batch_indices)
+                return [_miss_record(vins[i], "network error") for i in batch_indices]
 
         with ThreadPoolExecutor(max_workers=max(1, limits.max_in_flight)) as pool:
-            outcomes = list(pool.map(run, batches))
-        for batch_indices, (batch_records, documents) in zip(batches, outcomes):
-            for i, record, document in zip(batch_indices, batch_records, documents):
-                records[i] = record
-                if document is not None and cache.mode is CacheMode.RECORD_THEN_REPLAY:
-                    cache.store(vins[i], document)
+            for batch_indices, batch_records in zip(batches, pool.map(run, batches)):
+                for i, record in zip(batch_indices, batch_records):
+                    records[i] = record
     return records  # type: ignore[return-value]

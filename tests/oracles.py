@@ -65,3 +65,35 @@ def brute_force_match(target_points, candidates, max_lag, min_overlap=1, admissi
         return None
     distance, lag, _, name = min(scored)
     return name, lag, distance
+
+
+def oracle_cohort_counts(records, feature, model_year):
+    """(standard, optional, known) for one model-year cohort, by a full scan.
+
+    Flags are compared by their text values; a missing or "unknown" flag is
+    left out of the cohort.
+    """
+    standard = optional = known = 0
+    for record in records:
+        if record.model_year != model_year:
+            continue
+        flag = record.feature_flags.get(feature)
+        value = "unknown" if flag is None else flag.value
+        if value == "unknown":
+            continue
+        known += 1
+        if value == "standard":
+            standard += 1
+        if value == "optional":
+            optional += 1
+    return standard, optional, known
+
+
+def oracle_cohort_series(records, feature):
+    """{model year: (standard, optional, known)} over every model year seen, one full scan per year."""
+    series = {}
+    for year in sorted({r.model_year for r in records if r.model_year is not None}):
+        counts = oracle_cohort_counts(records, feature, year)
+        if counts[2]:
+            series[year] = counts
+    return series

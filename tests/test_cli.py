@@ -3,6 +3,7 @@ import random
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -201,6 +202,16 @@ class TestEstimate:
             assert result.exit_code == 0
             outputs.append(result.stdout_bytes)
         assert outputs[0] == outputs[1]
+
+
+    @pytest.mark.parametrize("output_format, golden", [
+        ("table", "estimate_2022_table.txt"), ("csv", "estimate_2022.csv"), ("json", "estimate_2022.json"),
+    ])
+    def test_bundled_year_2022_matches_golden_output(self, runner, output_format, golden):
+        """Every byte of the bundled 2022 output, legend and cautions included, is pinned."""
+        result = runner.invoke(main, ["--format", output_format, "estimate", "--year", "2022"])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (Path(__file__).parent / "golden" / golden).read_bytes()
 
 
 class TestIngest:

@@ -33,6 +33,8 @@ from adasfleet.errors import (
 )
 from adasfleet.vin import compute_check_digit
 
+from oracles import oracle_cohort_counts, oracle_cohort_series
+
 ACC = FeatureId.ADAPTIVE_CRUISE_CONTROL
 LCA = FeatureId.LANE_CENTERING_ASSIST
 PAEB = FeatureId.PEDESTRIAN_AUTOMATIC_EMERGENCY_BRAKING
@@ -332,6 +334,46 @@ class TestFarsFractions:
         series = fars_adoption_series(records, LCA)
         assert sorted(series.points) == [2020, 2021]
         assert series.points[2021].std == Fraction(1, 2)
+
+
+@st.composite
+def crash_cohorts(draw):
+    """Records over a few model years (some None), each flag missing, unknown or known."""
+    flags = st.dictionaries(st.sampled_from([LCA, PAEB]), st.sampled_from(list(Availability)))
+    years = st.one_of(st.none(), st.integers(min_value=2018, max_value=2021))
+    return [cohort_record(draw(flags), model_year=draw(years)) for _ in range(draw(st.integers(0, 25)))]
+
+
+class TestCohortPassAgainstOracle:
+    @given(records=crash_cohorts(), feature=st.sampled_from([LCA, PAEB]),
+           year=st.integers(min_value=2017, max_value=2022), rng=st.randoms())
+    def test_matches_per_cohort_scan_and_ignores_order_and_duplication(self, records, feature, year, rng):
+        expected = oracle_cohort_series(records, feature)
+        shuffled = list(records)
+        rng.shuffle(shuffled)
+        for variant, copies in ((records, 1), (shuffled, 1), (records + shuffled, 2)):
+            if expected:
+                series = fars_adoption_series(variant, feature)
+                assert list(series.points) == list(expected)
+                assert series.points == {
+                    y: AdoptionPoint(Fraction(s, n), Fraction(o, n)) for y, (s, o, n) in expected.items()
+                }
+            else:
+                with pytest.raises(EmptyCohort) as exc_info:
+                    fars_adoption_series(variant, feature)
+                assert str(exc_info.value) == f"no {feature.value} cohorts with known availability in the records"
+
+            standard, optional, known = oracle_cohort_counts(records, feature, year)
+            if known:
+                assert fars_availability_fraction(variant, feature, year) == (
+                    Fraction(standard, known), Fraction(optional, known), known * copies
+                )
+            else:
+                with pytest.raises(EmptyCohort) as exc_info:
+                    fars_availability_fraction(variant, feature, year)
+                assert str(exc_info.value) == (
+                    f"no {feature.value} records with known availability for model year {year}"
+                )
 
 
 def test_bundled_fixture_reproduces_published_fractions(bundled_dir):

@@ -169,3 +169,19 @@ class TestLenientParse:
         vin, warning = parse_vin_lenient(ALL_ONES)
         assert vin.raw == ALL_ONES
         assert warning is None
+
+    @given(st.one_of(
+        st.text(max_size=20),
+        # Mostly 17 legal characters with a random check digit, some lowercase, padded or illegal.
+        st.text(alphabet=LEGAL + list("ioqaz \t"), min_size=16, max_size=19),
+        valid_vins,
+    ))
+    def test_agrees_with_strict_mode(self, text):
+        try:
+            strict = parse_vin(text)
+        except (WrongLength, ForbiddenCharacter) as exc:
+            assert parse_vin_lenient(text) == (None, str(exc))
+        except CheckDigitMismatch as exc:
+            assert parse_vin_lenient(text) == (parse_vin(text, strict=False), str(exc))
+        else:
+            assert parse_vin_lenient(text) == (strict, None)

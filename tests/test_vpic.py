@@ -208,6 +208,33 @@ class TestRecordThenReplay:
         assert record.make == "ACME"
 
 
+    def test_programming_error_in_transport_is_not_retried(self, tmp_path):
+        calls = []
+
+        def broken_transport(url, body, timeout):
+            calls.append(body)
+            raise TypeError("transport called with the wrong arguments")
+
+        cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
+        with pytest.raises(TypeError, match="wrong arguments"):
+            batch_decode([make_vin(0)], cache, FAST, transport=broken_transport)
+        assert len(calls) == 1
+
+    def test_batches_that_succeed_are_cached_before_a_malformed_one_raises(self, tmp_path):
+        vins = [make_vin(i) for i in range(4)]
+
+        def second_batch_malformed(url, body, timeout):
+            batch = body["DATA"].split(";")
+            if batch[0] == vins[2]:
+                return {"unexpected": True}
+            return {"Results": [document(v) for v in batch]}
+
+        cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
+        with pytest.raises(MalformedResponse):
+            batch_decode(vins, cache, RequestLimits(batch_size=2, base_delay=0.0), transport=second_batch_malformed)
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(f"{v}.json" for v in vins[:2])
+
+
 class TestLiveOnly:
     def test_skips_cache_in_both_directions(self, tmp_path):
         cache_dir = tmp_path / "cache"
