@@ -7,6 +7,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from sys import intern
 from typing import Mapping
 
 from .errors import AdasFleetError, BadEnumValue, DuplicateKey, SchemaError
@@ -24,6 +25,10 @@ class FeatureId(Enum):
     REAR_PARKING_SENSORS = "rear_parking_sensors"
     ELECTRONIC_STABILITY_CONTROL = "electronic_stability_control"
     LANE_KEEP_ASSIST = "lane_keep_assist"
+
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with ==; Enum's own hash is a Python-level call per lookup.
+    __hash__ = object.__hash__
 
     @property
     def display_name(self) -> str:
@@ -48,10 +53,13 @@ ANALOG_FEATURES: tuple[FeatureId, ...] = (
 )
 
 
+_FEATURES_BY_NAME = {f.value: f for f in FeatureId}
+
+
 def feature_from_name(name: str) -> FeatureId:
     try:
-        return FeatureId(name.strip())
-    except ValueError:
+        return _FEATURES_BY_NAME[name.strip()]
+    except KeyError:
         raise BadEnumValue(f"unknown feature name {name!r}") from None
 
 
@@ -61,6 +69,8 @@ class Availability(Enum):
     NOT_AVAILABLE = "not_available"
     # Reserved for model years below the decode-coverage floor or absent records.
     UNKNOWN = "unknown"
+
+    __hash__ = object.__hash__  # as for FeatureId
 
 
 _CSV_AVAILABILITY = {
@@ -77,7 +87,7 @@ def availability_from_name(name: str) -> Availability:
         raise BadEnumValue(f"availability must be one of {sorted(_CSV_AVAILABILITY)}, got {name!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrimAvailabilityRecord:
     make: str
     model: str
@@ -113,10 +123,6 @@ DEFAULT_COVERAGE_FLOOR = 2017
 CATALOG_HEADER = ("make", "model", "model_year", "feature", "availability")
 
 
-def _key(make: str, model: str, model_year: int, feature: FeatureId):
-    return (make.strip().lower(), model.strip().lower(), model_year, feature)
-
-
 @dataclass(frozen=True)
 class Catalog:
     """Immutable (make, model, year, feature) -> availability index."""
@@ -126,9 +132,10 @@ class Catalog:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Interned, the normalized names are shared by every key of a (make, model).
         index = {}
         for rec in self.records:
-            key = _key(rec.make, rec.model, rec.model_year, rec.feature)
+            key = (intern(rec.make.strip().lower()), intern(rec.model.strip().lower()), rec.model_year, rec.feature)
             if key in index:
                 raise DuplicateKey(
                     f"duplicate catalog entry for {rec.make}/{rec.model}/{rec.model_year}/{rec.feature.value}"
@@ -142,7 +149,7 @@ class Catalog:
     def lookup_availability(self, make: str, model: str, model_year: int, feature: FeatureId) -> Availability:
         """Stored value on a hit; on a miss, Unknown below the coverage floor
         and NotAvailable at or above it. Total: never raises."""
-        hit = self._index.get(_key(make, model, model_year, feature))
+        hit = self._index.get((make.strip().lower(), model.strip().lower(), model_year, feature))
         if hit is not None:
             return hit
         if model_year < self.coverage_floor:
@@ -238,5 +245,6 @@ def load_catalog(source, coverage_floor: int = DEFAULT_COVERAGE_FLOOR) -> Catalo
                 raise SchemaError(f"model_year {model_year} predates 17-character VINs")
             feature = feature_from_name(feature_text)
             availability = availability_from_name(avail_text)
-            records.append(TrimAvailabilityRecord(make, model, model_year, feature, availability))
+            # Interned: one string object per distinct make and model, not one per row.
+            records.append(TrimAvailabilityRecord(intern(make), intern(model), model_year, feature, availability))
     return Catalog(records=tuple(records), coverage_floor=coverage_floor)

@@ -8,6 +8,7 @@ every 30 years and is disambiguated by whether position 7 is alphabetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import CheckDigitMismatch, ForbiddenCharacter, IllegalYearCode, WrongLength
 
@@ -37,7 +38,7 @@ MIN_MODEL_YEAR = _FIRST_CYCLE_BASE
 MAX_MODEL_YEAR = _FIRST_CYCLE_BASE + 2 * _CYCLE - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vin:
     """A structurally valid VIN, sliced into its positional fields."""
 
@@ -64,10 +65,11 @@ def _parse(text: str) -> tuple[Vin, str]:
     text = text.strip().upper()
     if len(text) != VIN_LENGTH:
         raise WrongLength(text)
-    for i, c in enumerate(text, start=1):
-        if c not in LEGAL_CHARS:
-            raise ForbiddenCharacter(c, i)
-    remainder = sum(_TRANSLITERATION[c] * w for c, w in zip(text, _WEIGHTS)) % 11
+    if not LEGAL_CHARS.issuperset(text):
+        for i, c in enumerate(text, start=1):
+            if c not in LEGAL_CHARS:
+                raise ForbiddenCharacter(c, i)
+    remainder = sum(map(mul, map(_TRANSLITERATION.__getitem__, text), _WEIGHTS)) % 11
     vin = Vin(
         raw=text,
         wmi=text[0:3],

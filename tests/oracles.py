@@ -36,6 +36,16 @@ def oracle_check_digit(vin17: str) -> str:
     return "X" if remainder == 10 else str(remainder)
 
 
+def oracle_first_forbidden(text: str):
+    """(character, 1-based position) of the first character with no transliteration value, or None."""
+    position = 1
+    for character in text:
+        if character not in CHAR_VALUES:
+            return character, position
+        position += 1
+    return None
+
+
 def oracle_model_year(code: str, position7: str) -> int:
     base = YEAR_CODE_TABLE[code]
     return base + 30 if position7.isalpha() else base
@@ -97,3 +107,16 @@ def oracle_cohort_series(records, feature):
         if counts[2]:
             series[year] = counts
     return series
+
+
+def oracle_availability(rows, make, model, model_year, feature, coverage_floor=2017):
+    """Availability text for one lookup, by a full scan of (make, model, model_year, feature, availability) rows.
+
+    Make and model match after stripping and lowercasing; a miss is "unknown"
+    below the coverage floor and "not_available" at or above it.
+    """
+    wanted = (make.strip().lower(), model.strip().lower(), model_year, feature)
+    for row_make, row_model, row_year, row_feature, availability in rows:
+        if (row_make.strip().lower(), row_model.strip().lower(), row_year, row_feature) == wanted:
+            return availability
+    return "unknown" if model_year < coverage_floor else "not_available"

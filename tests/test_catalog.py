@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -13,6 +15,8 @@ from adasfleet.catalog import (
     load_catalog,
 )
 from adasfleet.errors import BadEnumValue, DuplicateKey, SchemaError
+
+from oracles import oracle_availability
 
 HEADER = "make,model,model_year,feature,availability"
 
@@ -133,3 +137,74 @@ def test_catalog_rejects_duplicates_in_records():
     rec = TrimAvailabilityRecord("a", "b", 2020, FeatureId.LANE_CENTERING_ASSIST, Availability.STANDARD)
     with pytest.raises(DuplicateKey):
         Catalog(records=(rec, rec))
+
+
+class TestInvariance:
+    """Row order, the case and padding of make and model, and whether the
+    names are interned never change a lookup."""
+
+    MAKES = ("acme", "Bolt Motors", "cirrus")
+    MODELS = ("alpha", "Beta 2", "gamma")
+    YEARS = range(2014, 2021)  # straddles the default coverage floor, 2017
+
+    rows = st.lists(
+        st.tuples(
+            st.sampled_from(MAKES),
+            st.sampled_from(MODELS),
+            st.sampled_from(YEARS),
+            st.sampled_from([f.value for f in FeatureId]),
+            st.sampled_from(["standard", "optional", "not_available"]),
+        ),
+        max_size=40,
+        unique_by=lambda row: row[:4],
+    )
+
+    @staticmethod
+    def respell(rng, name):
+        cased = "".join(c.upper() if rng.random() < 0.5 else c.lower() for c in name)
+        return rng.choice(["", " ", "\t"]) + cased + rng.choice(["", " ", "  "])
+
+    @staticmethod
+    def csv(rows):
+        return io.StringIO("\n".join([HEADER, *(",".join(map(str, row)) for row in rows)]) + "\n")
+
+    @staticmethod
+    def records(rows):
+        return tuple(TrimAvailabilityRecord(m, mo, y, FeatureId(f), Availability(a)) for m, mo, y, f, a in rows)
+
+    @given(rows, st.randoms())
+    def test_lookups_ignore_order_case_padding_and_interning(self, rows, rng):
+        shuffled = rng.sample(rows, len(rows))
+        respelled = [(self.respell(rng, m), self.respell(rng, mo), y, f, a) for m, mo, y, f, a in rows]
+        # Names joined at run time are new string objects, never interned.
+        runtime = [("".join(list(m.upper())), "".join(list(mo)), y, f, a) for m, mo, y, f, a in shuffled]
+        catalogs = [
+            load_catalog(self.csv(rows)),
+            load_catalog(self.csv(shuffled)),
+            load_catalog(self.csv(respelled)),
+            Catalog(records=self.records(respelled)),
+            Catalog(records=self.records(runtime)),
+        ]
+        for make in self.MAKES:
+            for model in self.MODELS:
+                built = "".join(list(make)), "".join(list(model))
+                assert built[0] is not make and built[1] is not model
+                spellings = [(make, model), (self.respell(rng, make), self.respell(rng, model)), built]
+                for year in self.YEARS:
+                    for feature in FeatureId:
+                        expected = oracle_availability(rows, make, model, year, feature.value)
+                        for catalog in catalogs:
+                            for spelled_make, spelled_model in spellings:
+                                got = catalog.lookup_availability(spelled_make, spelled_model, year, feature)
+                                assert got.value == expected
+
+    @given(rows.filter(bool), st.randoms(), st.data())
+    def test_duplicates_differing_in_case_or_padding_are_rejected(self, rows, rng, data):
+        make, model, year, feature, _ = data.draw(st.sampled_from(rows))
+        twin = (self.respell(rng, make), self.respell(rng, model), year, feature,
+                data.draw(st.sampled_from(["standard", "optional", "not_available"])))
+        with_twin = rng.sample(rows + [twin], len(rows) + 1)
+        with pytest.raises(DuplicateKey):
+            load_catalog(self.csv(with_twin))
+        with pytest.raises(DuplicateKey):
+            Catalog(records=self.records(with_twin))

@@ -13,7 +13,7 @@ from adasfleet.vin import (
     parse_vin_lenient,
 )
 
-from oracles import CHAR_VALUES, oracle_check_digit, oracle_model_year
+from oracles import CHAR_VALUES, oracle_check_digit, oracle_first_forbidden, oracle_model_year
 
 ALL_ONES = "1" * 17
 ALL_ZEROS = "0" * 17
@@ -185,3 +185,38 @@ class TestLenientParse:
             assert parse_vin_lenient(text) == (parse_vin(text, strict=False), str(exc))
         else:
             assert parse_vin_lenient(text) == (strict, None)
+
+
+class TestAgainstOracle:
+    # Padding, lowercase, the excluded I/O/Q, and non-ASCII letters, some of
+    # which change length or become I/O/Q when uppercased ("ß" -> "SS", "ı" -> "I").
+    @given(st.one_of(
+        st.text(max_size=20),
+        st.builds(
+            lambda left, body, right: left + body + right,
+            st.text(alphabet=" \t\n\u00a0", max_size=2),
+            st.text(alphabet=LEGAL + list("abcxyz019ioqIOQéßıÅİ"), min_size=15, max_size=18),
+            st.text(alphabet=" \t\n\u00a0", max_size=2),
+        ),
+        valid_vins,
+    ))
+    def test_parse_agrees_with_naive_scan(self, text):
+        normalized = text.strip().upper()
+        forbidden = oracle_first_forbidden(normalized)
+        if len(normalized) != 17:
+            with pytest.raises(WrongLength):
+                parse_vin(text, strict=False)
+        elif forbidden is not None:
+            with pytest.raises(ForbiddenCharacter) as info:
+                parse_vin(text, strict=False)
+            assert (info.value.char, info.value.position) == forbidden
+        else:
+            expected = oracle_check_digit(normalized)
+            assert parse_vin(text, strict=False).raw == normalized
+            assert compute_check_digit(text) == expected
+            if normalized[8] == expected:
+                assert parse_vin(text).check_digit == expected
+            else:
+                with pytest.raises(CheckDigitMismatch) as info:
+                    parse_vin(text)
+                assert (info.value.expected, info.value.found) == (expected, normalized[8])
