@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from sys import intern
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import AdasFleetError, BadEnumValue, DuplicateKey, SchemaError
 
@@ -123,33 +123,62 @@ DEFAULT_COVERAGE_FLOOR = 2017
 CATALOG_HEADER = ("make", "model", "model_year", "feature", "availability")
 
 
-@dataclass(frozen=True)
+# The flags of a key the catalog does not hold; never mutated.
+_NO_FLAGS: dict = {}
+
+
+@dataclass(frozen=True, init=False)
 class Catalog:
-    """Immutable (make, model, year, feature) -> availability index."""
+    """Immutable availability index: one {FeatureId: Availability} dict per
+    normalized (make, model, model_year) key, where make and model are
+    stripped, lowercased and interned."""
 
-    records: tuple[TrimAvailabilityRecord, ...]
-    coverage_floor: int = DEFAULT_COVERAGE_FLOOR
-    _index: dict = field(init=False, repr=False, compare=False)
+    coverage_floor: int
+    _index: dict[tuple[str, str, int], dict[FeatureId, Availability]] = field(repr=False, hash=False)
 
-    def __post_init__(self):
-        # Interned, the normalized names are shared by every key of a (make, model).
+    def __init__(self, records: Iterable[TrimAvailabilityRecord], coverage_floor: int = DEFAULT_COVERAGE_FLOOR):
+        self._fill(((r.make, r.model, r.model_year, r.feature, r.availability) for r in records), coverage_floor)
+
+    def _fill(self, rows, coverage_floor: int) -> None:
+        """Index (make, model, model_year, feature, availability) rows; the one
+        builder behind `Catalog(records=...)` and `load_catalog`."""
         index = {}
-        for rec in self.records:
-            key = (intern(rec.make.strip().lower()), intern(rec.model.strip().lower()), rec.model_year, rec.feature)
-            if key in index:
-                raise DuplicateKey(
-                    f"duplicate catalog entry for {rec.make}/{rec.model}/{rec.model_year}/{rec.feature.value}"
-                )
-            index[key] = rec.availability
+        names = {}  # make or model text as given -> its normalized, interned form
+        for make, model, model_year, feature, availability in rows:
+            make_key = names.get(make)
+            if make_key is None:
+                make_key = names[make] = intern(make.strip().lower())
+            model_key = names.get(model)
+            if model_key is None:
+                model_key = names[model] = intern(model.strip().lower())
+            key = (make_key, model_key, model_year)
+            flags = index.get(key)
+            if flags is None:
+                flags = index[key] = {}
+            elif feature in flags:
+                raise DuplicateKey(f"duplicate catalog entry for {make}/{model}/{model_year}/{feature.value}")
+            flags[feature] = availability
+        object.__setattr__(self, "coverage_floor", coverage_floor)
         object.__setattr__(self, "_index", index)
 
+    @property
+    def records(self) -> tuple[TrimAvailabilityRecord, ...]:
+        """Every entry as a record, built on each access: make and model in
+        their normalized, interned spelling, grouped by key in first-seen order."""
+        return tuple(
+            TrimAvailabilityRecord(make, model, model_year, feature, availability)
+            for (make, model, model_year), flags in self._index.items()
+            for feature, availability in flags.items()
+        )
+
     def __len__(self) -> int:
-        return len(self.records)
+        """The number of (key, feature) entries."""
+        return sum(map(len, self._index.values()))
 
     def lookup_availability(self, make: str, model: str, model_year: int, feature: FeatureId) -> Availability:
         """Stored value on a hit; on a miss, Unknown below the coverage floor
         and NotAvailable at or above it. Total: never raises."""
-        hit = self._index.get((make.strip().lower(), model.strip().lower(), model_year, feature))
+        hit = self._index.get((make.strip().lower(), model.strip().lower(), model_year), _NO_FLAGS).get(feature)
         if hit is not None:
             return hit
         if model_year < self.coverage_floor:
@@ -219,9 +248,10 @@ class Table:
     def __iter__(self):
         picks = None
         for lineno, line in enumerate(text_lines(self.source), start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
                 continue
-            cells = [c.strip() for c in line.split(",")]
+            cells = list(map(str.strip, line.split(",")))
             if self.header is None:
                 picks = self._picks(cells, line)
                 self.header = cells
@@ -237,14 +267,15 @@ class Table:
 
 def load_catalog(source, coverage_floor: int = DEFAULT_COVERAGE_FLOOR) -> Catalog:
     """Load an availability catalog CSV, rejecting duplicates and bad enums."""
-    records = []
-    with Table(source, CATALOG_HEADER) as table:
+
+    def rows(table):
         for make, model, year_text, feature_text, avail_text in table:
             model_year = parse_year(year_text, "model_year")
             if model_year < 1980:
                 raise SchemaError(f"model_year {model_year} predates 17-character VINs")
-            feature = feature_from_name(feature_text)
-            availability = availability_from_name(avail_text)
-            # Interned: one string object per distinct make and model, not one per row.
-            records.append(TrimAvailabilityRecord(intern(make), intern(model), model_year, feature, availability))
-    return Catalog(records=tuple(records), coverage_floor=coverage_floor)
+            yield make, model, model_year, feature_from_name(feature_text), availability_from_name(avail_text)
+
+    catalog = Catalog.__new__(Catalog)
+    with Table(source, CATALOG_HEADER) as table:
+        catalog._fill(rows(table), coverage_floor)
+    return catalog

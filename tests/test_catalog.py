@@ -45,6 +45,13 @@ def test_duplicate_key_rejected(tmp_path):
         load_catalog(path)
 
 
+def test_duplicate_row_names_its_row(tmp_path):
+    path = write_catalog(tmp_path, [*WELL_FORMED, " ACME , Alpha ,2021,lane_centering_assist,optional"])
+    with pytest.raises(DuplicateKey) as info:
+        load_catalog(path)
+    assert str(info.value) == "row 5: duplicate catalog entry for ACME/Alpha/2021/lane_centering_assist"
+
+
 def test_bad_availability_enum(tmp_path):
     path = write_catalog(tmp_path, ["acme,alpha,2021,lane_centering_assist,sometimes"])
     with pytest.raises(BadEnumValue):
@@ -135,8 +142,9 @@ def test_mandate_ordering_enforced():
 
 def test_catalog_rejects_duplicates_in_records():
     rec = TrimAvailabilityRecord("a", "b", 2020, FeatureId.LANE_CENTERING_ASSIST, Availability.STANDARD)
-    with pytest.raises(DuplicateKey):
+    with pytest.raises(DuplicateKey) as info:
         Catalog(records=(rec, rec))
+    assert str(info.value) == "duplicate catalog entry for a/b/2020/lane_centering_assist"
 
 
 class TestInvariance:
@@ -208,3 +216,31 @@ class TestInvariance:
             load_catalog(self.csv(with_twin))
         with pytest.raises(DuplicateKey):
             Catalog(records=self.records(with_twin))
+
+
+class TestRecordsView:
+    """`records` is rebuilt from the index, in normalized spelling, and feeds
+    `Catalog` back to the same lookups."""
+
+    @staticmethod
+    def assert_round_trips(catalog, data_rows):
+        assert len(catalog) == len(catalog.records) == data_rows
+        rebuilt = Catalog(records=catalog.records, coverage_floor=catalog.coverage_floor)
+        probes = [(rec.make, rec.model, rec.model_year, rec.feature) for rec in catalog.records]
+        for year in (catalog.coverage_floor - 1, catalog.coverage_floor):
+            probes += [("nobody", "none", year, feature) for feature in FeatureId]
+        for probe in probes:
+            assert rebuilt.lookup_availability(*probe) is catalog.lookup_availability(*probe)
+
+    def test_bundled_catalog(self, bundled_dir):
+        path = bundled_dir / "catalog.csv"
+        lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line and not line.startswith("#")]
+        self.assert_round_trips(load_catalog(path), len(lines) - 1)
+
+    @given(TestInvariance.rows, st.randoms(), st.integers(min_value=2014, max_value=2021))
+    def test_generated_catalog(self, rows, rng, floor):
+        respelled = [(TestInvariance.respell(rng, m), TestInvariance.respell(rng, mo), *rest) for m, mo, *rest in rows]
+        catalog = load_catalog(TestInvariance.csv(respelled), coverage_floor=floor)
+        for rec in catalog.records:
+            assert rec.make == rec.make.strip().lower() and rec.model == rec.model.strip().lower()
+        self.assert_round_trips(catalog, len(rows))

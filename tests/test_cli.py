@@ -1,15 +1,21 @@
 import json
+import os
 import random
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+import adasfleet
 from adasfleet import vpic
 from adasfleet.cli import main
+from adasfleet.datasets import bundled_data_dir
 from adasfleet.vin import compute_check_digit
 from adasfleet.vpic import CacheMode, FixtureCache
 
@@ -213,6 +219,23 @@ class TestEstimate:
         assert result.exit_code == 0
         assert result.stdout_bytes == (Path(__file__).parent / "golden" / golden).read_bytes()
 
+    @settings(max_examples=5, deadline=None)
+    @given(st.randoms())
+    def test_row_order_of_catalog_and_crash_file_leaves_output_unchanged(self, rng):
+        """Shuffled data rows of catalog.csv and fars_vehicles.csv, comment and
+        header lines kept in place, give the golden bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "data"
+            shutil.copytree(bundled_data_dir(), data)
+            for name in ("catalog.csv", "fars_vehicles.csv"):
+                lines = (data / name).read_text(encoding="utf-8").splitlines()
+                body = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+                rows = rng.sample(lines[body:], len(lines) - body)
+                (data / name).write_text("\n".join(lines[:body] + rows) + "\n", encoding="utf-8")
+            result = CliRunner().invoke(main, ["--data-dir", str(data), "--format", "json", "estimate", "--year", "2022"])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (Path(__file__).parent / "golden" / "estimate_2022.json").read_bytes()
+
 
 class TestIngest:
     def test_each_bundled_kind_validates(self, runner, bundled_dir):
@@ -225,6 +248,11 @@ class TestIngest:
             result = runner.invoke(main, ["ingest", "--kind", kind, str(bundled_dir / name)])
             assert result.exit_code == 0, (kind, result.output)
             assert result.stdout.startswith("ok:")
+
+    def test_catalog_count_is_one_per_data_row(self, runner, bundled_dir):
+        result = runner.invoke(main, ["ingest", "--kind", "catalog", str(bundled_dir / "catalog.csv")])
+        assert result.exit_code == 0
+        assert result.stdout == "ok: 92 catalog records\n"
 
     def test_bundled_series_have_gaps_and_strict_ingest_says_so(self, runner, bundled_dir):
         result = runner.invoke(main, ["ingest", "--kind", "fleet", str(bundled_dir / "fleet.csv")])
@@ -301,9 +329,12 @@ class TestReportForecast:
 
 
 def test_console_entry_point_runs():
+    # The child imports the package this suite imported, also when only pytest's `pythonpath` finds it.
+    package_root = str(Path(adasfleet.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "adasfleet", "estimate", "--year", "2022", "--format", "csv"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert result.returncode == 0
     assert result.stdout.startswith("feature,year,")
