@@ -8,10 +8,9 @@ works out of the box. Exit codes: 0 success, 1 data or validation failure,
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import click
 from . import datasets, estimator, vpic
 from .catalog import Catalog, FeatureId, PRIORITY_FEATURES, Availability, load_catalog, text_lines
 from .datasets import ActivationTable, AdoptionSeries, FarsIngest, FleetSeries, bundled_data_dir
-from .errors import AdasFleetError, EmptyCohort
+from .errors import AdasFleetError, EmptyCohort, IllegalYearCode
 from .estimator import CautionFlag, EstimatorConfig, PenetrationEstimate
 from .vin import parse_vin_lenient
 from .vpic import CacheMode, FixtureCache
@@ -43,7 +42,6 @@ class RunConfig:
     output_format: str = "table"
     vpic_mode: CacheMode = CacheMode.OFFLINE
     vpic_url: str = vpic.DEFAULT_BASE_URL
-    thresholds: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def resolve(self, kind: str) -> Path:
         """User data directory first, bundled data second, per file."""
@@ -117,14 +115,28 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _echo_error(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
+class _Cli(click.Group):
+    """Ends an `AdasFleetError` from any command as one `error:` line, a
+    `hint:` line when the error carries a hint, and exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except AdasFleetError as exc:
+            click.echo(f"error: {exc}", err=True)
+            if getattr(exc, "hint", None):
+                click.echo(
+                    "hint: supply a fleet or adoption series covering the requested year, "
+                    "or crash records for the feature, via --data-dir",
+                    err=True,
+                )
+            sys.exit(1)
 
 
 pass_config = click.make_pass_decorator(RunConfig, ensure=True)
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+@click.group(cls=_Cli, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--data-dir", type=click.Path(path_type=Path), default=None, help="Directory overriding bundled data files.")
 @click.option("--format", "output_format", type=click.Choice(["table", "csv", "json"]), default="table", show_default=True)
 @click.option("--strict-vin", is_flag=True, help="Treat check-digit failures as hard errors.")
@@ -160,7 +172,7 @@ def _decode_rows(vins: list[str], config: RunConfig) -> tuple[list[dict], bool]:
         row["wmi"] = vin.wmi
         try:
             row["model_year"] = str(vin.model_year)
-        except AdasFleetError as exc:
+        except IllegalYearCode as exc:
             row["status"] = f"warning: {exc}"
         parsed.append((row, vin.raw))
         rows.append(row)
@@ -194,18 +206,14 @@ def decode(config: RunConfig, vins, vin_file, output_format, strict_vin):
     if strict_vin:
         config.strict_vin = True
     fmt = output_format or config.output_format
-    try:
-        if vin_file is not None:
-            for line in text_lines(vin_file):
-                cell = line.split(",")[0].strip()
-                if cell and cell.lower() != "vin" and not cell.startswith("#"):
-                    collected.append(cell)
-        if not collected:
-            raise click.UsageError("no VINs given; pass them as arguments or with --file")
-        rows, any_failed = _decode_rows(collected, config)
-    except AdasFleetError as exc:
-        _echo_error(exc)
-        sys.exit(1)
+    if vin_file is not None:
+        for line in text_lines(vin_file):
+            cell = line.split(",")[0].strip()
+            if cell and cell.lower() != "vin" and not cell.startswith("#"):
+                collected.append(cell)
+    if not collected:
+        raise click.UsageError("no VINs given; pass them as arguments or with --file")
+    rows, any_failed = _decode_rows(collected, config)
     headers = ["vin", "status", "model_year", "wmi", "make", "model", "features"]
     if fmt == "json":
         click.echo(json.dumps(rows, indent=2))
@@ -286,39 +294,15 @@ def _print_estimates(estimates: list[PenetrationEstimate], fmt: str) -> None:
 def estimate(config: RunConfig, year, output_format, max_lag, min_overlap, long_lag_threshold):
     """Per-feature equipped, activation, and activated-of-fleet percentages."""
     fmt = output_format or config.output_format
-    overrides = {}
-    if max_lag is not None:
-        overrides["max_lag"] = max_lag
-    if min_overlap is not None:
-        overrides["min_overlap"] = min_overlap
-    if long_lag_threshold is not None:
-        overrides["long_lag_threshold"] = long_lag_threshold
-    if overrides:
-        config.thresholds = dataclasses.replace(config.thresholds, **overrides)
-    try:
-        bundle = load_bundle(config)
-        missing = bundle.activation.missing_priority()
-        if missing:
-            raise AdasFleetError(
-                f"activation table lacks entries for: {', '.join(f.value for f in missing)}"
-            )
-        estimates = estimator.estimate_table(
-            year,
-            bundle.fleet,
-            bundle.adoption,
-            build_fars_series(bundle),
-            bundle.activation,
-            config.thresholds,
-        )
-    except AdasFleetError as exc:
-        _echo_error(exc)
-        if getattr(exc, "hint", None):
-            click.echo(
-                "hint: supply a fleet or adoption series covering the requested year, "
-                "or crash records for the feature, via --data-dir",
-                err=True,
-            )
-        sys.exit(1)
+    given = {"max_lag": max_lag, "min_overlap": min_overlap, "long_lag_threshold": long_lag_threshold}
+    thresholds = EstimatorConfig(**{name: value for name, value in given.items() if value is not None})
+    bundle = load_bundle(config)
+    missing = bundle.activation.missing_priority()
+    if missing:
+        raise AdasFleetError(f"activation table lacks entries for: {', '.join(f.value for f in missing)}")
+    estimates = estimator.estimate_table(
+        year, bundle.fleet, bundle.adoption, build_fars_series(bundle), bundle.activation, thresholds
+    )
     _print_estimates(estimates, fmt)
 
 
@@ -328,33 +312,29 @@ def estimate(config: RunConfig, year, output_format, max_lag, min_overlap, long_
 @pass_config
 def ingest(config: RunConfig, kind, source):
     """Validate a data file and print what it holds."""
-    try:
-        if kind == "adoption":
-            series = datasets.ingest_adoption_csv(source)
-            points = sum(len(s.points) for s in series.values())
-            click.echo(f"ok: {len(series)} adoption series, {points} points")
-        elif kind == "fleet":
-            series = datasets.ingest_fleet_csv(source)
-            points = sum(len(s.points) for s in series.values())
-            click.echo(f"ok: {len(series)} fleet series, {points} points")
-        elif kind == "activation":
-            table = datasets.ingest_activation_csv(source)
-            click.echo(f"ok: {len(table.entries)} activation entries")
-            missing = table.missing_priority()
-            if missing:
-                click.echo(f"note: no entry for {', '.join(f.value for f in missing)}", err=True)
-        elif kind == "catalog":
-            catalog = load_catalog(source)
-            click.echo(f"ok: {len(catalog)} catalog records")
-        else:
-            catalog = load_catalog(config.resolve("catalog"))
-            result = datasets.ingest_fars_csv(source, catalog)
-            click.echo(f"ok: {len(result.records)} vehicle records, {result.warning_count} warnings")
-            for warning in result.warnings:
-                click.echo(f"warning: {warning}", err=True)
-    except AdasFleetError as exc:
-        _echo_error(exc)
-        sys.exit(1)
+    if kind == "adoption":
+        series = datasets.ingest_adoption_csv(source)
+        points = sum(len(s.points) for s in series.values())
+        click.echo(f"ok: {len(series)} adoption series, {points} points")
+    elif kind == "fleet":
+        series = datasets.ingest_fleet_csv(source)
+        points = sum(len(s.points) for s in series.values())
+        click.echo(f"ok: {len(series)} fleet series, {points} points")
+    elif kind == "activation":
+        table = datasets.ingest_activation_csv(source)
+        click.echo(f"ok: {len(table.entries)} activation entries")
+        missing = table.missing_priority()
+        if missing:
+            click.echo(f"note: no entry for {', '.join(f.value for f in missing)}", err=True)
+    elif kind == "catalog":
+        catalog = load_catalog(source)
+        click.echo(f"ok: {len(catalog)} catalog records")
+    else:
+        catalog = load_catalog(config.resolve("catalog"))
+        result = datasets.ingest_fars_csv(source, catalog)
+        click.echo(f"ok: {len(result.records)} vehicle records, {result.warning_count} warnings")
+        for warning in result.warnings:
+            click.echo(f"warning: {warning}", err=True)
 
 
 @main.command("report-forecast")
@@ -366,16 +346,12 @@ def ingest(config: RunConfig, kind, source):
 def report_forecast(config: RunConfig, predicted, estimated, year, output_format):
     """Signed percentage-point error of predicted vs estimated equipped rates."""
     fmt = output_format or config.output_format
-    try:
-        predicted_set = datasets.ingest_fleet_csv(predicted, allow_gaps=True)
-        estimated_set = datasets.ingest_fleet_csv(estimated, allow_gaps=True)
-        shared = [f for f in FeatureId if f in predicted_set and f in estimated_set]
-        if not shared:
-            raise AdasFleetError("the two files have no feature in common")
-        errors = {f: estimator.forecast_error(predicted_set[f], estimated_set[f], year) for f in shared}
-    except AdasFleetError as exc:
-        _echo_error(exc)
-        sys.exit(1)
+    predicted_set = datasets.ingest_fleet_csv(predicted, allow_gaps=True)
+    estimated_set = datasets.ingest_fleet_csv(estimated, allow_gaps=True)
+    shared = [f for f in FeatureId if f in predicted_set and f in estimated_set]
+    if not shared:
+        raise AdasFleetError("the two files have no feature in common")
+    errors = {f: estimator.forecast_error(predicted_set[f], estimated_set[f], year) for f in shared}
     mae = sum(abs(e) for e in errors.values()) / len(errors)
     rows = [
         {

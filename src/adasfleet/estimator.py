@@ -10,7 +10,7 @@ feature installed and switched on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal, ROUND_HALF_UP
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -84,14 +84,13 @@ class Provenance:
 
 
 def _round_half_up_pct(fraction) -> int:
-    """Round a [0, 1] fraction to an integer percent, halves away from zero."""
-    if isinstance(fraction, Fraction):
-        fraction = Decimal(fraction.numerator) / Decimal(fraction.denominator)
-    elif isinstance(fraction, float):
-        fraction = Decimal(str(fraction))
-    else:
-        fraction = Decimal(fraction)
-    return int((fraction * 100).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+    """Round a fraction to an integer percent, halves away from zero, exactly.
+
+    A float stands for the decimal its `str` shows, so 0.145 gives 15.
+    """
+    pct = Fraction(str(fraction) if isinstance(fraction, float) else fraction) * 100
+    whole = int(abs(pct) + Fraction(1, 2))
+    return whole if pct >= 0 else -whole
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ class PenetrationEstimate:
     cautions: frozenset[CautionFlag]
 
     def __post_init__(self):
-        expected = _round_half_up_pct(Decimal(self.equipped_pct * self.activation_pct) / 10000)
+        expected = _round_half_up_pct(Fraction(self.equipped_pct * self.activation_pct, 10000))
         if self.activated_of_fleet_pct != expected:
             raise ValueError(
                 f"activated_of_fleet_pct {self.activated_of_fleet_pct} must equal "
@@ -291,7 +290,7 @@ def compose_activated(equipped, activation) -> tuple[int, int, int]:
     """
     equipped_pct = _round_half_up_pct(equipped)
     activation_pct = _round_half_up_pct(activation)
-    return equipped_pct, activation_pct, _round_half_up_pct(Decimal(equipped_pct * activation_pct) / 10000)
+    return equipped_pct, activation_pct, _round_half_up_pct(Fraction(equipped_pct * activation_pct, 10000))
 
 
 def estimate_table(

@@ -244,6 +244,8 @@ def batch_decode(
             to_fetch.append(i)
 
     if to_fetch:
+        # Load the variable map here: two workers that both miss the cache would both read the file.
+        _bundled_variable_map()
         transport = _http_transport if transport is None else transport
         batches = split_batches(to_fetch, limits.batch_size)
 

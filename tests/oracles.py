@@ -4,6 +4,8 @@ Kept deliberately naive: explicit tables, full enumeration, no sharing with
 the package internals.
 """
 
+from fractions import Fraction
+
 # 49 CFR 565 transliteration table, written out in full.
 CHAR_VALUES = {
     "0": 0, "1": 1, "2": 2, "3": 3, "4": 4, "5": 5, "6": 6, "7": 7, "8": 8, "9": 9,
@@ -120,3 +122,16 @@ def oracle_availability(rows, make, model, model_year, feature, coverage_floor=2
         if (row_make.strip().lower(), row_model.strip().lower(), row_year, row_feature) == wanted:
             return availability
     return "unknown" if model_year < coverage_floor else "not_available"
+
+
+def oracle_half_up_pct(value):
+    """Whole percent of a fraction, halves away from zero, in Fraction arithmetic only.
+
+    A float stands for the decimal its `str` shows.
+    """
+    exact = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+    pct = abs(exact) * 100
+    whole = pct.numerator // pct.denominator
+    if pct - whole >= Fraction(1, 2):
+        whole += 1
+    return whole if exact >= 0 else -whole

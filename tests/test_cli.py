@@ -165,6 +165,29 @@ class TestEstimate:
         assert result.exit_code == 1
         assert "adaptive_cruise_control" in result.stderr
 
+    def test_insufficient_data_prints_error_then_hint(self, runner):
+        result = runner.invoke(main, ["estimate", "--year", "1900"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        error, hint = result.stderr.splitlines()
+        assert error.startswith("error: cannot estimate adaptive_cruise_control for 1900: ")
+        assert hint.startswith("hint: supply a fleet or adoption series covering the requested year")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-lag", "1", "within lag 0..1"),
+        ("--min-overlap", "3", "at least 3 year(s)"),
+    ])
+    def test_threshold_flag_reaches_the_lag_search(self, runner, flag, value, message):
+        result = runner.invoke(main, ["estimate", "--year", "2022", flag, value])
+        assert result.exit_code == 1
+        assert message in result.stderr.splitlines()[0]
+
+    def test_long_lag_threshold_flag_adds_caution(self, runner):
+        result = runner.invoke(main, ["estimate", "--year", "2022", "--long-lag-threshold", "1", "--format", "csv"])
+        assert result.exit_code == 0
+        acc = next(r for r in parse_csv(result.stdout) if r["feature"] == "adaptive_cruise_control")
+        assert acc["cautions"] == "long_lag(2);small_overlap(1)"
+
     def test_missing_activation_entry_fails_naming_feature(self, runner, data_dir_copy):
         activation = data_dir_copy / "activation.csv"
         kept = [
@@ -220,17 +243,19 @@ class TestEstimate:
         assert result.stdout_bytes == (Path(__file__).parent / "golden" / golden).read_bytes()
 
     @settings(max_examples=5, deadline=None)
-    @given(st.randoms())
-    def test_row_order_of_catalog_and_crash_file_leaves_output_unchanged(self, rng):
+    @given(st.randoms(), st.booleans())
+    def test_row_order_of_catalog_and_crash_file_leaves_output_unchanged(self, rng, duplicate_crash_rows):
         """Shuffled data rows of catalog.csv and fars_vehicles.csv, comment and
-        header lines kept in place, give the golden bytes."""
+        header lines kept in place, give the golden bytes; so does every crash
+        row appearing twice."""
         with tempfile.TemporaryDirectory() as tmp:
             data = Path(tmp) / "data"
             shutil.copytree(bundled_data_dir(), data)
             for name in ("catalog.csv", "fars_vehicles.csv"):
                 lines = (data / name).read_text(encoding="utf-8").splitlines()
                 body = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
-                rows = rng.sample(lines[body:], len(lines) - body)
+                rows = lines[body:] * (2 if duplicate_crash_rows and name == "fars_vehicles.csv" else 1)
+                rows = rng.sample(rows, len(rows))
                 (data / name).write_text("\n".join(lines[:body] + rows) + "\n", encoding="utf-8")
             result = CliRunner().invoke(main, ["--data-dir", str(data), "--format", "json", "estimate", "--year", "2022"])
         assert result.exit_code == 0
@@ -321,6 +346,13 @@ class TestReportForecast:
         result = runner.invoke(main, ["report-forecast", str(predicted), str(estimated), "--year", "2023"])
         assert result.exit_code == 1
         assert "no year 2023" in result.stderr
+
+    def test_missing_year_is_one_error_line_without_hint(self, runner, tmp_path):
+        predicted, estimated = self.write_pair(tmp_path, "0.20", "0.22")
+        result = runner.invoke(main, ["report-forecast", str(predicted), str(estimated), "--year", "2023"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: series for lane_departure_warning has no year 2023"]
 
     def test_table_format_prints_mae(self, runner, tmp_path):
         predicted, estimated = self.write_pair(tmp_path, "0.20", "0.22")

@@ -3,7 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from adasfleet.catalog import Availability, FeatureId
@@ -32,7 +32,7 @@ from adasfleet.estimator import (
     transfer_fleet_rate,
 )
 
-from oracles import brute_force_match
+from oracles import brute_force_match, oracle_half_up_pct
 
 ACC = FeatureId.ADAPTIVE_CRUISE_CONTROL
 LDW = FeatureId.LANE_DEPARTURE_WARNING
@@ -143,6 +143,22 @@ class TestMatchLag:
 
 
 combined_fracs = st.integers(min_value=0, max_value=100).map(lambda n: Decimal(n) / 100)
+
+# Fractions in [0, 1] as Fraction, exact Decimal (up to 40 places) and float,
+# with denominators up to 10**40 and points within 10**-40 of a half percent.
+_places = st.integers(min_value=0, max_value=40)
+_exact_fracs = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**40),
+    st.builds(
+        lambda half, scale, nudge: min(max(Fraction(2 * half + 1, 200) + Fraction(nudge, 10**scale), Fraction(0)), Fraction(1)),
+        st.integers(min_value=0, max_value=99), _places, st.integers(min_value=-1, max_value=1),
+    ),
+)
+any_fracs = st.one_of(
+    _exact_fracs,
+    st.builds(lambda f, p: Decimal(f"{int(f * 10**p)}E-{p}"), _exact_fracs, _places),
+    st.floats(min_value=0, max_value=1),
+)
 
 
 @st.composite
@@ -274,6 +290,14 @@ class TestCompose:
             equipped_provenance=Provenance(ProvenanceKind.DIRECT_FLEET_SERIES),
             cautions=frozenset(),
         )
+
+    @given(equipped=any_fracs, activation=any_fracs)
+    @example(Fraction(5 * 10**37 - 1, 10**40), Decimal("0.00499999999999999999999999999999"))
+    @example(0.145, 0.005)
+    def test_agrees_with_fraction_oracle(self, equipped, activation):
+        ep, ap, share = compose_activated(equipped, activation)
+        assert (ep, ap) == (oracle_half_up_pct(equipped), oracle_half_up_pct(activation))
+        assert share == oracle_half_up_pct(Fraction(ep * ap, 10000))
 
     def test_estimate_invariant_rejects_wrong_share(self):
         with pytest.raises(ValueError):

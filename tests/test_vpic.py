@@ -1,10 +1,12 @@
 import json
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from adasfleet import vpic
 from adasfleet.catalog import Availability, FeatureId
 from adasfleet.datasets import AdoptionPoint, fars_adoption_series
 from adasfleet.errors import MalformedResponse, NetworkError, WrongLength
@@ -207,6 +209,27 @@ class TestRecordThenReplay:
         assert transport.calls == 3
         assert record.make == "ACME"
 
+
+    def test_variable_map_is_loaded_once_with_workers_in_flight(self, tmp_path, monkeypatch):
+        loads = []
+
+        def slow_load(source=None):
+            loads.append(source)
+            time.sleep(0.05)
+            return load_variable_map(source)
+
+        vpic._bundled_variable_map.cache_clear()
+        monkeypatch.setattr(vpic, "load_variable_map", slow_load)
+        cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
+        try:
+            records = batch_decode(
+                [make_vin(i) for i in range(4)], cache,
+                RequestLimits(batch_size=2, max_in_flight=2, base_delay=0.0), transport=CountingTransport(),
+            )
+        finally:
+            vpic._bundled_variable_map.cache_clear()
+        assert len(loads) == 1
+        assert all(r.make == "ACME" for r in records)
 
     def test_programming_error_in_transport_is_not_retried(self, tmp_path):
         calls = []
