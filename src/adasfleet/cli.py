@@ -115,6 +115,20 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _json_rows(rows: list[dict[str, str]]) -> str:
+    """`json.dumps(rows, indent=2)` for flat str -> str rows, byte for byte.
+
+    Any indent makes `json.dumps` use its pure-Python encoder; this keeps the
+    strings on the C escaper both encoders use.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    items = [
+        "  {\n" + ",\n".join(f"    {quote(k)}: {quote(v)}" for k, v in row.items()) + "\n  }" if row else "  {}"
+        for row in rows
+    ]
+    return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
+
+
 class _Cli(click.Group):
     """Ends an `AdasFleetError` from any command as one `error:` line, a
     `hint:` line when the error carries a hint, and exit code 1."""
@@ -216,7 +230,7 @@ def decode(config: RunConfig, vins, vin_file, output_format, strict_vin):
     rows, any_failed = _decode_rows(collected, config)
     headers = ["vin", "status", "model_year", "wmi", "make", "model", "features"]
     if fmt == "json":
-        click.echo(json.dumps(rows, indent=2))
+        click.echo(_json_rows(rows))
     elif fmt == "csv":
         click.echo(",".join(headers))
         for row in rows:

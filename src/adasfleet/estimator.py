@@ -10,7 +10,7 @@ feature installed and switched on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -83,11 +83,17 @@ class Provenance:
         return f"{self.kind.value}({self.analog.value}:{self.lag_years})"
 
 
+_HUNDREDTH = Decimal("0.01")
+
+
 def _round_half_up_pct(fraction) -> int:
     """Round a fraction to an integer percent, halves away from zero, exactly.
 
-    A float stands for the decimal its `str` shows, so 0.145 gives 15.
+    A float stands for the decimal its `str` shows, so 0.145 gives 15. A
+    Decimal is quantized in one exact step, so a tiny exponent costs nothing.
     """
+    if isinstance(fraction, Decimal):
+        return int(fraction.quantize(_HUNDREDTH, ROUND_HALF_UP) * 100)
     pct = Fraction(str(fraction) if isinstance(fraction, float) else fraction) * 100
     whole = int(abs(pct) + Fraction(1, 2))
     return whole if pct >= 0 else -whole
@@ -120,9 +126,9 @@ def match_lag(
 ) -> LagMatch:
     """Best (analog, lag) alignment of the target's adoption curve.
 
-    For every candidate and every lag in [0, max_lag], target year y is
-    compared with candidate year y - lag on combined (standard + optional)
-    availability; the score is the mean squared difference over the overlap.
+    For every candidate and every lag in [0, max_lag] that overlaps, target
+    year y is compared with candidate year y - lag on combined (standard +
+    optional) availability; the score is the mean squared difference over the overlap.
     Ties break toward the smaller lag, then candidate order. An optional
     admissible(feature, lag) predicate restricts the search, e.g. to pairs
     whose fleet series can actually serve the transfer year.
@@ -132,7 +138,9 @@ def match_lag(
     best_key = None
     best = None
     for index, candidate in enumerate(candidates):
-        for lag in range(config.max_lag + 1):
+        # Only a lag that maps some target year onto a candidate year can overlap.
+        lags = sorted({y - c for y in target.points for c in candidate.points if 0 <= y - c <= config.max_lag})
+        for lag in lags:
             if admissible is not None and not admissible(candidate.feature, lag):
                 continue
             overlap = [y for y in sorted(target.points) if (y - lag) in candidate.points]

@@ -40,15 +40,15 @@ MAX_MODEL_YEAR = _FIRST_CYCLE_BASE + 2 * _CYCLE - 1
 
 @dataclass(frozen=True, slots=True)
 class Vin:
-    """A structurally valid VIN, sliced into its positional fields."""
+    """A structurally valid VIN; its positional fields are slices of `raw`."""
 
     raw: str
-    wmi: str          # positions 1-3, world manufacturer identifier
-    vds: str          # positions 4-8, vehicle descriptor
-    check_digit: str  # position 9
-    year_code: str    # position 10
-    plant_code: str   # position 11
-    serial: str       # positions 12-17
+    wmi = property(lambda self: self.raw[0:3])          # positions 1-3, world manufacturer identifier
+    vds = property(lambda self: self.raw[3:8])          # positions 4-8, vehicle descriptor
+    check_digit = property(lambda self: self.raw[8])    # position 9
+    year_code = property(lambda self: self.raw[9])      # position 10
+    plant_code = property(lambda self: self.raw[10])    # position 11
+    serial = property(lambda self: self.raw[11:17])     # positions 12-17
 
     @property
     def model_year(self) -> int:
@@ -70,16 +70,7 @@ def _parse(text: str) -> tuple[Vin, str]:
             if c not in LEGAL_CHARS:
                 raise ForbiddenCharacter(c, i)
     remainder = sum(map(mul, map(_TRANSLITERATION.__getitem__, text), _WEIGHTS)) % 11
-    vin = Vin(
-        raw=text,
-        wmi=text[0:3],
-        vds=text[3:8],
-        check_digit=text[8],
-        year_code=text[9],
-        plant_code=text[10],
-        serial=text[11:17],
-    )
-    return vin, "X" if remainder == 10 else str(remainder)
+    return Vin(text), "X" if remainder == 10 else str(remainder)
 
 
 def compute_check_digit(text: str) -> str:

@@ -8,6 +8,7 @@ network connection.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import os
@@ -29,6 +30,9 @@ DEFAULT_BASE_URL = "https://vpic.nhtsa.dot.gov/api/vehicles/DecodeVINValuesBatch
 _VIN_KEYS = ("VIN", "Vin", "vin")
 _MODEL_YEAR_KEYS = ("Model Year", "ModelYear")
 _ERROR_KEYS = ("Error Text", "ErrorText")
+
+# Open errors that mean "no cached document", as for `Path.exists()`.
+_MISS_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP})
 
 _VALUE_MAP = {
     "standard": Availability.STANDARD,
@@ -72,11 +76,21 @@ class FixtureCache:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def load(self, vin: str) -> dict | None:
-        doc = Path(self.path) / f"{vin}.json"
-        if not doc.exists():
-            return None
+        """The cached document for a VIN, or None when the cache has none.
+
+        The file is opened once. A missing file, a missing or non-directory
+        cache path and a symlink loop are misses, as `Path.exists()` treats
+        them; any other OS error propagates.
+        """
         try:
-            return json.loads(doc.read_text(encoding="utf-8"))
+            with open(os.path.join(self.path, vin + ".json"), "rb") as doc:
+                data = doc.read()
+        except OSError as exc:
+            if exc.errno in _MISS_ERRNOS:
+                return None
+            raise
+        try:
+            return json.loads(data.decode("utf-8"))
         except ValueError as exc:
             raise MalformedResponse(f"cached document for {vin} is not valid JSON: {exc}") from None
 

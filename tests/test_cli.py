@@ -5,16 +5,17 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import adasfleet
 from adasfleet import vpic
-from adasfleet.cli import main
+from adasfleet.cli import _json_rows, main
 from adasfleet.datasets import bundled_data_dir
 from adasfleet.vin import compute_check_digit
 from adasfleet.vpic import CacheMode, FixtureCache
@@ -122,6 +123,20 @@ class TestDecode:
         assert "adaptive_cruise_control=standard" in row["features"]
 
 
+# Flat str -> str rows with non-ASCII text, control characters, quotes,
+# backslashes and lone surrogates, as decode's JSON renderer may meet them.
+_row_text = st.text(alphabet=st.characters(exclude_categories=()), max_size=12) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff", "é→日本", "\U0001f697"]
+)
+
+
+class TestJsonRows:
+    @given(st.lists(st.dictionaries(_row_text, _row_text, max_size=7), max_size=5))
+    @example([])
+    def test_equals_json_dumps_with_indent(self, rows):
+        assert _json_rows(rows) == json.dumps(rows, indent=2)
+
+
 class TestEstimate:
     def test_bundled_year_2022_table(self, runner):
         result = runner.invoke(main, ["estimate", "--year", "2022"])
@@ -181,6 +196,29 @@ class TestEstimate:
         result = runner.invoke(main, ["estimate", "--year", "2022", flag, value])
         assert result.exit_code == 1
         assert message in result.stderr.splitlines()[0]
+
+    def test_huge_max_lag_prints_the_same_table_quickly(self, runner):
+        """Only lags that overlap are visited, so the bound's size costs nothing."""
+        started = time.perf_counter()
+        huge = runner.invoke(main, ["estimate", "--year", "2022", "--max-lag", "10000000"])
+        elapsed = time.perf_counter() - started
+        assert huge.exit_code == 0
+        assert huge.stdout == runner.invoke(main, ["estimate", "--year", "2022", "--max-lag", "1000"]).stdout
+        assert elapsed < 5.0, f"took {elapsed:.3f}s"
+
+    def test_tiny_exponent_fleet_value_is_cheap(self, runner, data_dir_copy):
+        fleet = data_dir_copy / "fleet.csv"
+        text = fleet.read_text(encoding="utf-8")
+        assert "automatic_emergency_braking,2022,0.16" in text
+        text = text.replace("automatic_emergency_braking,2022,0.16", "automatic_emergency_braking,2022,1e-30000000")
+        fleet.write_text(text, encoding="utf-8")
+        started = time.perf_counter()
+        result = runner.invoke(main, ["--data-dir", str(data_dir_copy), "estimate", "--year", "2022", "--format", "csv"])
+        elapsed = time.perf_counter() - started
+        assert result.exit_code == 0
+        aeb = next(r for r in parse_csv(result.stdout) if r["feature"] == "automatic_emergency_braking")
+        assert (aeb["equipped_pct"], aeb["activated_of_fleet_pct"]) == ("0", "0")
+        assert elapsed < 5.0, f"took {elapsed:.3f}s"
 
     def test_long_lag_threshold_flag_adds_caution(self, runner):
         result = runner.invoke(main, ["estimate", "--year", "2022", "--long-lag-threshold", "1", "--format", "csv"])

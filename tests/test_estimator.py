@@ -202,6 +202,22 @@ class TestMatchLagOracle:
         match = match_lag(target, candidates, config)
         assert (match.analog, match.lag_years, match.distance) == expected
 
+    @given(instance=match_instances(), beyond=st.integers(min_value=0, max_value=10**12))
+    @settings(max_examples=120, deadline=None)
+    def test_any_max_lag_at_or_above_the_year_span_gives_the_span_match(self, instance, beyond):
+        """No lag above the span between the latest target year and the earliest
+        candidate year can overlap, so a larger bound changes nothing."""
+        target, candidates, _ = instance
+        span = max(0, max(target.points) - min(min(c.points) for c in candidates))
+
+        def outcome(max_lag):
+            try:
+                return match_lag(target, candidates, EstimatorConfig(max_lag=max_lag))
+            except NoCandidateQualifies:
+                return None
+
+        assert outcome(span + beyond) == outcome(span)
+
 
 class TestTransfer:
     def fleet(self, feature, **year_rates):
@@ -269,6 +285,9 @@ class TestCompose:
 
     def test_accepts_exact_ratios(self):
         assert compose_activated(Fraction(23, 100), Fraction(2, 100)) == (23, 2, 0)
+
+    def test_tiny_decimal_exponent_rounds_without_expanding(self):
+        assert compose_activated(Decimal("1e-999999999"), Decimal("0.5")) == (0, 50, 0)
 
     @given(
         activation=combined_fracs,

@@ -1,9 +1,13 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from adasfleet.datasets import bundled_data_dir
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_bundled_data.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "make_bundled_data.py"
 
 
 def test_make_bundled_data_reproduces_the_bundled_files(tmp_path, monkeypatch):
@@ -14,3 +18,20 @@ def test_make_bundled_data_reproduces_the_bundled_files(tmp_path, monkeypatch):
     script.main()
     for name in ("catalog.csv", "fars_vehicles.csv"):
         assert (tmp_path / name).read_bytes() == (bundled_data_dir() / name).read_bytes(), name
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """perfbench/traced.py wraps package names from outside; unbinding one must fail here.
+
+    Runs in a child process so the wrappers `install()` places stay out of this one.
+    """
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import traced; "
+        "print(json.dumps(traced.install(traced.Tracer('names'))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=60, cwd=ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -6,6 +8,7 @@ from adasfleet.errors import CheckDigitMismatch, ForbiddenCharacter, IllegalYear
 from adasfleet.vin import (
     LEGAL_CHARS,
     YEAR_CODES,
+    Vin,
     compute_check_digit,
     decode_model_year,
     encode_model_year,
@@ -75,6 +78,11 @@ class TestParseVin:
     def test_fields_tile_the_vin(self, raw):
         vin = parse_vin(raw)
         assert vin.wmi + vin.vds + vin.check_digit + vin.year_code + vin.plant_code + vin.serial == raw
+
+    def test_raw_is_the_only_stored_field(self):
+        vin = parse_vin(ALL_ONES)
+        assert [f.name for f in dataclasses.fields(vin)] == ["raw"]
+        assert vin == Vin(ALL_ONES)
 
 
 class TestCheckDigit:

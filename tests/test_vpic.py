@@ -129,6 +129,36 @@ class TestFixtureCache:
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{vin}.json"]
         assert cache.load(vin) == document(vin)
 
+    @pytest.mark.parametrize("layout", ["missing_file", "missing_dir", "path_is_a_file", "symlink_loop"])
+    def test_absent_document_is_a_miss(self, tmp_path, layout):
+        vin = make_vin(0)
+        cache_dir = tmp_path / "cache"
+        if layout == "missing_file":
+            cache_dir.mkdir()
+        elif layout == "path_is_a_file":
+            cache_dir.write_text("not a directory", encoding="utf-8")
+        elif layout == "symlink_loop":
+            cache_dir.mkdir()
+            (cache_dir / f"{vin}.json").symlink_to(cache_dir / f"{vin}.json")
+        assert FixtureCache(cache_dir).load(vin) is None
+
+    def test_unreadable_document_is_not_a_miss(self, tmp_path):
+        vin = make_vin(0)
+        (tmp_path / f"{vin}.json").mkdir()
+        with pytest.raises(IsADirectoryError):
+            FixtureCache(tmp_path).load(vin)
+
+    @pytest.mark.parametrize("content", [
+        b'{"VIN": "\xff"}',
+        b'\xef\xbb\xbf{"VIN": "x"}',
+        b'{"VIN": ',
+    ], ids=["invalid_utf8", "utf8_bom", "invalid_json"])
+    def test_undecodable_document_is_malformed(self, tmp_path, content):
+        vin = make_vin(0)
+        (tmp_path / f"{vin}.json").write_bytes(content)
+        with pytest.raises(MalformedResponse, match=f"cached document for {vin} is not valid JSON"):
+            FixtureCache(tmp_path).load(vin)
+
 
 class TestOfflineMode:
     def test_cache_hits_make_zero_network_calls(self, warm_cache):
