@@ -120,6 +120,12 @@ DEFAULT_MANDATES: Mapping[FeatureId, MandateInfo] = {
 # Decoded availability data does not reach below this model year.
 DEFAULT_COVERAGE_FLOOR = 2017
 
+
+def absent_availability(model_year: int) -> Availability:
+    """A feature no source records: Unknown below the coverage floor, NotAvailable at or above it."""
+    return Availability.UNKNOWN if model_year < DEFAULT_COVERAGE_FLOOR else Availability.NOT_AVAILABLE
+
+
 CATALOG_HEADER = ("make", "model", "model_year", "feature", "availability")
 
 
@@ -133,13 +139,12 @@ class Catalog:
     normalized (make, model, model_year) key, where make and model are
     stripped, lowercased and interned."""
 
-    coverage_floor: int
     _index: dict[tuple[str, str, int], dict[FeatureId, Availability]] = field(repr=False, hash=False)
 
-    def __init__(self, records: Iterable[TrimAvailabilityRecord], coverage_floor: int = DEFAULT_COVERAGE_FLOOR):
-        self._fill(((r.make, r.model, r.model_year, r.feature, r.availability) for r in records), coverage_floor)
+    def __init__(self, records: Iterable[TrimAvailabilityRecord]):
+        self._fill((r.make, r.model, r.model_year, r.feature, r.availability) for r in records)
 
-    def _fill(self, rows, coverage_floor: int) -> None:
+    def _fill(self, rows) -> None:
         """Index (make, model, model_year, feature, availability) rows; the one
         builder behind `Catalog(records=...)` and `load_catalog`."""
         index = {}
@@ -158,7 +163,6 @@ class Catalog:
             elif feature in flags:
                 raise DuplicateKey(f"duplicate catalog entry for {make}/{model}/{model_year}/{feature.value}")
             flags[feature] = availability
-        object.__setattr__(self, "coverage_floor", coverage_floor)
         object.__setattr__(self, "_index", index)
 
     @property
@@ -176,14 +180,9 @@ class Catalog:
         return sum(map(len, self._index.values()))
 
     def lookup_availability(self, make: str, model: str, model_year: int, feature: FeatureId) -> Availability:
-        """Stored value on a hit; on a miss, Unknown below the coverage floor
-        and NotAvailable at or above it. Total: never raises."""
+        """Stored value on a hit, `absent_availability` on a miss. Total: never raises."""
         hit = self._index.get((make.strip().lower(), model.strip().lower(), model_year), _NO_FLAGS).get(feature)
-        if hit is not None:
-            return hit
-        if model_year < self.coverage_floor:
-            return Availability.UNKNOWN
-        return Availability.NOT_AVAILABLE
+        return hit if hit is not None else absent_availability(model_year)
 
 
 def at_row(lineno: int | None, message) -> str:
@@ -265,7 +264,7 @@ class Table:
             raise SchemaError("file has no header row")
 
 
-def load_catalog(source, coverage_floor: int = DEFAULT_COVERAGE_FLOOR) -> Catalog:
+def load_catalog(source) -> Catalog:
     """Load an availability catalog CSV, rejecting duplicates and bad enums."""
 
     def rows(table):
@@ -277,5 +276,5 @@ def load_catalog(source, coverage_floor: int = DEFAULT_COVERAGE_FLOOR) -> Catalo
 
     catalog = Catalog.__new__(Catalog)
     with Table(source, CATALOG_HEADER) as table:
-        catalog._fill(rows(table), coverage_floor)
+        catalog._fill(rows(table))
     return catalog

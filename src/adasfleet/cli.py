@@ -33,6 +33,7 @@ DATA_FILES = {
 }
 
 _CACHE_DIR_NAME = "vpic_cache"
+_FORMAT_CHOICE = click.Choice(["table", "csv", "json"])
 
 
 @dataclass
@@ -152,7 +153,7 @@ pass_config = click.make_pass_decorator(RunConfig, ensure=True)
 
 @click.group(cls=_Cli, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--data-dir", type=click.Path(path_type=Path), default=None, help="Directory overriding bundled data files.")
-@click.option("--format", "output_format", type=click.Choice(["table", "csv", "json"]), default="table", show_default=True)
+@click.option("--format", "output_format", type=_FORMAT_CHOICE, default="table", show_default=True)
 @click.option("--strict-vin", is_flag=True, help="Treat check-digit failures as hard errors.")
 @click.option("--vpic-mode", type=click.Choice([m.value for m in CacheMode]), default="offline", show_default=True)
 @click.option("--vpic-url", envvar="ADASFLEET_VPIC_URL", default=vpic.DEFAULT_BASE_URL, show_default=True)
@@ -209,7 +210,7 @@ def _decode_rows(vins: list[str], config: RunConfig) -> tuple[list[dict], bool]:
 @click.argument("vins", nargs=-1)
 @click.option("--file", "vin_file", type=click.Path(exists=True, path_type=Path), default=None,
               help="File with one VIN per line (a leading 'vin' header line is skipped).")
-@click.option("--format", "output_format", type=click.Choice(["table", "csv", "json"]), default=None)
+@click.option("--format", "output_format", type=_FORMAT_CHOICE, default=None)
 @click.option("--strict-vin", is_flag=True, default=None)
 @pass_config
 def decode(config: RunConfig, vins, vin_file, output_format, strict_vin):
@@ -300,7 +301,7 @@ def _print_estimates(estimates: list[PenetrationEstimate], fmt: str) -> None:
 
 @main.command()
 @click.option("--year", type=int, required=True)
-@click.option("--format", "output_format", type=click.Choice(["table", "csv", "json"]), default=None)
+@click.option("--format", "output_format", type=_FORMAT_CHOICE, default=None)
 @click.option("--max-lag", type=int, default=None, help="Largest adoption lag searched.")
 @click.option("--min-overlap", type=int, default=None, help="Fewest overlapping years a match needs.")
 @click.option("--long-lag-threshold", type=int, default=None, help="Lag beyond which a caution is attached.")
@@ -355,7 +356,7 @@ def ingest(config: RunConfig, kind, source):
 @click.argument("predicted", type=click.Path(exists=True, path_type=Path))
 @click.argument("estimated", type=click.Path(exists=True, path_type=Path))
 @click.option("--year", type=int, required=True)
-@click.option("--format", "output_format", type=click.Choice(["table", "csv", "json"]), default=None)
+@click.option("--format", "output_format", type=_FORMAT_CHOICE, default=None)
 @pass_config
 def report_forecast(config: RunConfig, predicted, estimated, year, output_format):
     """Signed percentage-point error of predicted vs estimated equipped rates."""

@@ -150,40 +150,35 @@ class FarsIngest:
         return len(self.warnings)
 
 
-def ingest_adoption_csv(source, allow_gaps: bool = False) -> dict[FeatureId, AdoptionSeries]:
-    """One adoption series per feature present; violations carry row numbers."""
-    by_feature: dict[FeatureId, dict[int, AdoptionPoint]] = {}
-    with Table(source, ADOPTION_HEADER) as table:
-        for feature_text, year_text, std_text, opt_text in table:
+def _ingest_series(source, header, kind: str, point, series, allow_gaps: bool) -> dict:
+    """The one body of the series readers: rows of feature, year and fractions
+    in `header` order; one `series(feature, points)` per feature present, years
+    sorted, each point `point(*fractions)`. Violations carry row numbers."""
+    year_column, fraction_columns = header[1], header[2:]
+    by_feature: dict[FeatureId, dict] = {}
+    with Table(source, header) as table:
+        for feature_text, year_text, *fraction_texts in table:
             feature = feature_from_name(feature_text)
-            year = parse_year(year_text, "model_year")
-            point = AdoptionPoint(_parse_fraction(std_text, "std_frac"), _parse_fraction(opt_text, "opt_frac"))
+            year = parse_year(year_text, year_column)
+            value = point(*map(_parse_fraction, fraction_texts, fraction_columns))
             points = by_feature.setdefault(feature, {})
             if year in points:
                 raise DuplicateKey(f"duplicate year {year} for {feature.value}")
-            points[year] = point
+            points[year] = value
     if not allow_gaps:
         for feature, points in by_feature.items():
-            _check_contiguous(feature, points, "adoption")
-    return {f: AdoptionSeries(f, dict(sorted(pts.items()))) for f, pts in by_feature.items()}
+            _check_contiguous(feature, points, kind)
+    return {f: series(f, dict(sorted(pts.items()))) for f, pts in by_feature.items()}
+
+
+def ingest_adoption_csv(source, allow_gaps: bool = False) -> dict[FeatureId, AdoptionSeries]:
+    """One adoption series per feature present; violations carry row numbers."""
+    return _ingest_series(source, ADOPTION_HEADER, "adoption", AdoptionPoint, AdoptionSeries, allow_gaps)
 
 
 def ingest_fleet_csv(source, allow_gaps: bool = False) -> dict[FeatureId, FleetSeries]:
     """One fleet equipped series per feature present."""
-    by_feature: dict[FeatureId, dict[int, Decimal]] = {}
-    with Table(source, FLEET_HEADER) as table:
-        for feature_text, year_text, frac_text in table:
-            feature = feature_from_name(feature_text)
-            year = parse_year(year_text, "calendar_year")
-            frac = _parse_fraction(frac_text, "equipped_frac")
-            points = by_feature.setdefault(feature, {})
-            if year in points:
-                raise DuplicateKey(f"duplicate year {year} for {feature.value}")
-            points[year] = frac
-    if not allow_gaps:
-        for feature, points in by_feature.items():
-            _check_contiguous(feature, points, "fleet")
-    return {f: FleetSeries(f, dict(sorted(pts.items()))) for f, pts in by_feature.items()}
+    return _ingest_series(source, FLEET_HEADER, "fleet", lambda frac: frac, FleetSeries, allow_gaps)
 
 
 def ingest_activation_csv(source) -> ActivationTable:

@@ -9,13 +9,13 @@ feature installed and switched on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .catalog import Availability, DEFAULT_MANDATES, FeatureId, MandateInfo, PRIORITY_FEATURES
+from .catalog import Availability, DEFAULT_MANDATES, FeatureId, PRIORITY_FEATURES
 from .datasets import ActivationTable, AdoptionSeries, FleetSeries, VehicleRecord
 from .errors import EmptyCohort, InsufficientData, NoCandidateQualifies, YearNotInSeries
 
@@ -39,16 +39,20 @@ class CautionFlag:
         return f"{self.kind.value}({q})"
 
 
+# Percentage points of standard-vs-optional mix difference tolerated before
+# flagging; technologies sold mostly as options adopt differently.
+OPTIONAL_DIVERGENCE_PP = 15.0
+# A match on fewer overlapping years than this is flagged.
+SMALL_OVERLAP_THRESHOLD = 3
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """The lag-search thresholds, one field per `estimate` threshold flag."""
+
     max_lag: int = 25
     min_overlap: int = 1
     long_lag_threshold: int = 8
-    # Percentage points of standard-vs-optional mix difference tolerated
-    # before flagging; technologies sold mostly as options adopt differently.
-    optional_divergence_pp: float = 15.0
-    small_overlap_threshold: int = 3
-    mandates: Mapping[FeatureId, MandateInfo] = field(default_factory=lambda: dict(DEFAULT_MANDATES))
 
 
 DEFAULT_CONFIG = EstimatorConfig()
@@ -165,14 +169,14 @@ def match_lag(
     cautions = set()
     if lag > config.long_lag_threshold:
         cautions.add(CautionFlag(CautionKind.LONG_LAG, lag))
-    if len(overlap) < config.small_overlap_threshold:
+    if len(overlap) < SMALL_OVERLAP_THRESHOLD:
         cautions.add(CautionFlag(CautionKind.SMALL_OVERLAP, len(overlap)))
     divergence = max(
         abs(float(target.points[y].opt) - float(candidate.points[y - lag].opt)) * 100 for y in overlap
     )
-    if divergence > config.optional_divergence_pp:
+    if divergence > OPTIONAL_DIVERGENCE_PP:
         cautions.add(CautionFlag(CautionKind.OPTIONAL_SHARE_DIVERGENCE, divergence))
-    mandate = config.mandates.get(candidate.feature)
+    mandate = DEFAULT_MANDATES.get(candidate.feature)
     if mandate is not None:
         under = [y - lag for y in overlap if y - lag >= mandate.announced_year]
         if under:
@@ -196,13 +200,8 @@ class FleetTransfer:
     cautions: frozenset[CautionFlag]
 
 
-def transfer_fleet_rate(
-    match: LagMatch,
-    analog_fleet: FleetSeries,
-    target_year: int,
-    config: EstimatorConfig = DEFAULT_CONFIG,
-) -> FleetTransfer:
-    """Analog fleet equipped rate at target_year - lag, with the config's mandate caution."""
+def transfer_fleet_rate(match: LagMatch, analog_fleet: FleetSeries, target_year: int) -> FleetTransfer:
+    """Analog fleet equipped rate at target_year - lag, with the mandate caution."""
     if analog_fleet.feature is not match.analog:
         raise ValueError(
             f"fleet series is for {analog_fleet.feature.value}, match analog is {match.analog.value}"
@@ -210,7 +209,7 @@ def transfer_fleet_rate(
     source_year = target_year - match.lag_years
     rate = analog_fleet.rate(source_year)
     cautions = set()
-    mandate = config.mandates.get(match.analog)
+    mandate = DEFAULT_MANDATES.get(match.analog)
     if mandate is not None and source_year >= mandate.announced_year:
         cautions.add(CautionFlag(CautionKind.ANALOG_UNDER_MANDATE, source_year))
     return FleetTransfer(rate=rate, source_year=source_year, cautions=frozenset(cautions))
@@ -240,7 +239,7 @@ def _lag_route(
         return series is not None and (year - lag) in series.points
 
     match = match_lag(target, candidates, config, admissible=transferable)
-    transfer = transfer_fleet_rate(match, fleet_series_set[match.analog], year, config)
+    transfer = transfer_fleet_rate(match, fleet_series_set[match.analog], year)
     return EquippedEstimate(
         rate=transfer.rate,
         provenance=Provenance(kind, match.analog, match.lag_years),

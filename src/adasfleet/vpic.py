@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .catalog import Availability, DEFAULT_COVERAGE_FLOOR, FeatureId, Table, feature_from_name
+from .catalog import Availability, FeatureId, Table, absent_availability, feature_from_name
 from .datasets import VehicleRecord
 from .errors import IllegalYearCode, MalformedResponse, NetworkError, SchemaError
 from .vin import parse_vin, parse_vin_lenient
@@ -129,7 +129,7 @@ def normalize_vpic_record(raw: Mapping[str, str]) -> VehicleRecord:
     """Flat name/value decode fields -> VehicleRecord, with no crash year.
 
     Unrecognized variables are ignored; a mapped variable with a blank value
-    becomes Unknown below the coverage floor and NotAvailable at or above it.
+    becomes `absent_availability(model_year)`, as a catalog miss does.
     """
     vin = _first(raw, _VIN_KEYS)
     if vin is None:
@@ -143,7 +143,7 @@ def normalize_vpic_record(raw: Mapping[str, str]) -> VehicleRecord:
         raise MalformedResponse(f"decode response for {vin} has model year {year_text!r}") from None
 
     flags: dict[FeatureId, Availability] = {}
-    absent = Availability.UNKNOWN if model_year < DEFAULT_COVERAGE_FLOOR else Availability.NOT_AVAILABLE
+    absent = absent_availability(model_year)
     for variable, feature in _bundled_variable_map().items():
         value = str(raw.get(variable, "")).strip().lower()
         flags[feature] = _VALUE_MAP.get(value, absent)

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from adasfleet.catalog import (
     Availability,
     Catalog,
+    DEFAULT_COVERAGE_FLOOR,
     DEFAULT_MANDATES,
     FeatureId,
     MandateInfo,
@@ -117,11 +118,6 @@ class TestLookup:
         catalog = Catalog(records=())
         assert catalog.lookup_availability(make, "m", year, feature) is not Availability.UNKNOWN
 
-    def test_configurable_floor(self, tmp_path):
-        catalog = load_catalog(write_catalog(tmp_path, WELL_FORMED), coverage_floor=2020)
-        got = catalog.lookup_availability("nobody", "none", 2019, FeatureId.LANE_CENTERING_ASSIST)
-        assert got is Availability.UNKNOWN
-
 
 def test_priority_features_are_the_first_six():
     assert len(PRIORITY_FEATURES) == 6
@@ -225,9 +221,9 @@ class TestRecordsView:
     @staticmethod
     def assert_round_trips(catalog, data_rows):
         assert len(catalog) == len(catalog.records) == data_rows
-        rebuilt = Catalog(records=catalog.records, coverage_floor=catalog.coverage_floor)
+        rebuilt = Catalog(records=catalog.records)
         probes = [(rec.make, rec.model, rec.model_year, rec.feature) for rec in catalog.records]
-        for year in (catalog.coverage_floor - 1, catalog.coverage_floor):
+        for year in (DEFAULT_COVERAGE_FLOOR - 1, DEFAULT_COVERAGE_FLOOR):
             probes += [("nobody", "none", year, feature) for feature in FeatureId]
         for probe in probes:
             assert rebuilt.lookup_availability(*probe) is catalog.lookup_availability(*probe)
@@ -237,10 +233,10 @@ class TestRecordsView:
         lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line and not line.startswith("#")]
         self.assert_round_trips(load_catalog(path), len(lines) - 1)
 
-    @given(TestInvariance.rows, st.randoms(), st.integers(min_value=2014, max_value=2021))
-    def test_generated_catalog(self, rows, rng, floor):
+    @given(TestInvariance.rows, st.randoms())
+    def test_generated_catalog(self, rows, rng):
         respelled = [(TestInvariance.respell(rng, m), TestInvariance.respell(rng, mo), *rest) for m, mo, *rest in rows]
-        catalog = load_catalog(TestInvariance.csv(respelled), coverage_floor=floor)
+        catalog = load_catalog(TestInvariance.csv(respelled))
         for rec in catalog.records:
             assert rec.make == rec.make.strip().lower() and rec.model == rec.model.strip().lower()
         self.assert_round_trips(catalog, len(rows))

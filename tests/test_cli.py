@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -15,9 +17,11 @@ import hypothesis.strategies as st
 
 import adasfleet
 from adasfleet import vpic
-from adasfleet.cli import _json_rows, main
-from adasfleet.datasets import bundled_data_dir
-from adasfleet.vin import compute_check_digit
+from adasfleet.catalog import PRIORITY_FEATURES, FeatureId
+from adasfleet.cli import _json_rows, estimate, main
+from adasfleet.datasets import ActivationSource, bundled_data_dir
+from adasfleet.estimator import EstimatorConfig
+from adasfleet.vin import compute_check_digit, encode_model_year
 from adasfleet.vpic import CacheMode, FixtureCache
 
 ALL_ONES = "1" * 17
@@ -37,8 +41,8 @@ def runner():
     return CliRunner()
 
 
-def make_vin(serial: int) -> str:
-    draft = f"2HGCDEFG0MA{serial:06d}"
+def make_vin(serial: int, year_code: str = "M") -> str:
+    draft = f"2HGCDEFG0{year_code}A{serial:06d}"
     return draft[:8] + compute_check_digit(draft) + draft[9:]
 
 
@@ -298,6 +302,116 @@ class TestEstimate:
             result = CliRunner().invoke(main, ["--data-dir", str(data), "--format", "json", "estimate", "--year", "2022"])
         assert result.exit_code == 0
         assert result.stdout_bytes == (Path(__file__).parent / "golden" / "estimate_2022.json").read_bytes()
+
+
+def test_config_fields_are_the_estimate_threshold_flags():
+    """A config field no flag sets, or a threshold flag the config lacks, fails here."""
+    flags = {opt for param in estimate.params for opt in param.opts} - {"--year", "--format"}
+    assert flags == {"--max-lag", "--min-overlap", "--long-lag-threshold"}
+    assert {"--" + f.name.replace("_", "-") for f in dataclasses.fields(EstimatorConfig)} == flags
+
+
+FEATURES = [f.value for f in FeatureId]
+YEARS = st.integers(min_value=2008, max_value=2024)
+# Valid fractions in plain and exponent form, tiny and zero exponents included.
+HALF_TEXTS = ["0", "0.05", "0.16", "0.2", "0.5", "25e-2", "7E-2", "0.0001e+2", "1e-30000000", "1E-999999999",
+              "0e999999999", "5E-1", "0.3333333333333333333333333333333"]
+HALVES = st.sampled_from(HALF_TEXTS)
+FRACTIONS = st.sampled_from(HALF_TEXTS + ["0.57", "0.93", "1", "1.0e0", "99E-2"])
+JUNK = st.sampled_from(["", "x", "NaN", "-Infinity", "1e+999999999", "-1e-5", "1.5", "2e3", "99999999999999999999"])
+MAKES, MODELS = st.sampled_from(["acme", "Bolt"]), st.sampled_from(["m1", "M2 "])
+
+
+def sometimes(common, rare, one_in: int):
+    """`rare` in about one draw of `one_in`, else `common`."""
+    return st.integers(1, one_in).flatmap(lambda i: rare if i == one_in else common)
+
+
+@st.composite
+def data_dirs(draw) -> tuple[int, dict[str, str]]:
+    """A year to estimate and the five input files of a data dir: well formed,
+    with series mostly around the year; then, in about one example of two, one
+    cell of one file replaced by junk."""
+    year = draw(sometimes(YEARS, st.sampled_from([-1, 0, 10**12]), 10))
+    near = year if 2008 <= year <= 2024 else draw(YEARS)
+
+    def series(*value_cells):
+        rows = []
+        for feature in FEATURES:
+            if draw(st.integers(0, 3)):  # about three features in four
+                start, stop = near - draw(st.integers(0, 12)), near + draw(st.integers(-3, 2))
+                rows += [[feature, str(y), *map(draw, value_cells)] for y in range(start, max(stop, start) + 1)]
+        return rows
+
+    activation = []
+    for feature in draw(st.permutations([f.value for f in PRIORITY_FEATURES])):
+        source = draw(st.sampled_from([s.value for s in ActivationSource]))
+        donor = draw(st.sampled_from(FEATURES)) if source == "assumed_from_similar" else ""
+        activation.append([feature, draw(FRACTIONS), source, donor])
+    keys = draw(st.lists(st.tuples(MAKES, MODELS, YEARS, st.sampled_from(FEATURES)), max_size=30,
+                         unique_by=lambda key: (key[0].lower(), key[1].strip().lower(), *key[2:])))
+    availability = st.sampled_from(["standard", "optional", "not_available"])
+    crash_years = draw(st.lists(YEARS, max_size=30))
+    tables = {
+        "adoption.csv": ("feature,model_year,std_frac,opt_frac", series(HALVES, HALVES)),
+        "fleet.csv": ("feature,calendar_year,equipped_frac", series(FRACTIONS)),
+        "activation.csv": ("feature,rate,source,donor", activation),
+        "catalog.csv": ("make,model,model_year,feature,availability",
+                        [[make, model, str(year), feature, draw(availability)] for make, model, year, feature in keys]),
+        "fars_vehicles.csv": ("vin,crash_year,make,model",
+                              [[make_vin(i, encode_model_year(year)), "2022", draw(MAKES), draw(MODELS)] for i, year in enumerate(crash_years)]),
+    }
+    spoiled = draw(sometimes(st.none(), st.sampled_from(list(tables)), 2))
+    if spoiled is not None and tables[spoiled][1]:
+        row = draw(st.sampled_from(tables[spoiled][1]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(JUNK)
+    return year, {name: "\n".join([header, *map(",".join, rows)]) + "\n" for name, (header, rows) in tables.items()}
+
+
+THRESHOLD = sometimes(st.none(), st.one_of(st.integers(-3, 30), st.sampled_from([-10**18, 10**9, 10**18])), 4)
+DEADLINE_S = 2.0
+
+
+def overran(signum, frame):
+    raise TimeoutError(f"example overran its {DEADLINE_S}s deadline")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data_dir=data_dirs(), output_format=st.sampled_from(["table", "csv", "json"]),
+       thresholds=st.tuples(THRESHOLD, THRESHOLD, THRESHOLD))
+def test_estimate_on_generated_data_ends_in_one_error_line_or_a_table(data_dir, output_format, thresholds):
+    """Any data dir and any threshold flags end, within the deadline, in exit 0
+    with a six-row table, or in exit 1 with one `error:` line and an optional
+    `hint:` line; never in a traceback.
+
+    A timer signal interrupts a run at the deadline, so a loop in Python code
+    fails the example instead of hanging the suite.
+    """
+    year, files = data_dir
+    args = ["--format", output_format, "estimate", "--year", str(year)]
+    for flag, value in zip(["--max-lag", "--min-overlap", "--long-lag-threshold"], thresholds):
+        if value is not None:
+            args += [flag, str(value)]
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                (Path(tmp) / name).write_text(text, encoding="utf-8")
+            result = CliRunner().invoke(main, ["--data-dir", tmp, *args])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    if result.exit_code == 0:
+        assert result.stderr == "" and result.stdout
+        if output_format == "json":
+            assert len(json.loads(result.stdout)["estimates"]) == 6
+    else:
+        assert result.exit_code == 1 and result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith("error: ") and len(lines) in (1, 2), lines
+        assert len(lines) == 1 or lines[1].startswith("hint: "), lines
 
 
 class TestIngest:

@@ -127,7 +127,6 @@ class TestMatchLag:
         match = match_lag(
             series(ACC, y2020=("0.50", "0.20")),
             [series(LDW, y2018=("0.30", "0.40"))],
-            EstimatorConfig(optional_divergence_pp=15.0),
         )
         assert CautionKind.OPTIONAL_SHARE_DIVERGENCE in {c.kind for c in match.cautions}
 

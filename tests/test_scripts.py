@@ -35,3 +35,14 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
+
+
+def test_benchmark_generator_and_checker_import():
+    """perfbench/gen.py and perfbench/check.py import package names; removing one must fail here.
+
+    Runs in a child process with the path the benchmark itself sets up.
+    """
+    code = "import sys; sys.path[:0] = sys.argv[1:]; import gen, check"
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+    result = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True, timeout=60, cwd=ROOT)
+    assert result.returncode == 0, result.stderr

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from adasfleet import vpic
-from adasfleet.catalog import Availability, FeatureId
+from adasfleet.catalog import Availability, Catalog, FeatureId
 from adasfleet.datasets import AdoptionPoint, fars_adoption_series
 from adasfleet.errors import MalformedResponse, NetworkError, WrongLength
 from adasfleet.vin import compute_check_digit
@@ -101,6 +101,17 @@ class TestNormalize:
     def test_model_year_vin_disagreement_flagged(self):
         record = normalize_vpic_record(document(make_vin(1), model_year=2019))
         assert "disagrees" in record.error_text
+
+    def test_blank_variables_agree_with_a_catalog_miss(self):
+        """A blank decode and a catalog miss are the two routes to an absent
+        feature; they must give the same availability in every model year."""
+        catalog = Catalog(records=())
+        mapping = load_variable_map()
+        for model_year in range(1980, 2040):
+            record = normalize_vpic_record(document(make_vin(1), model_year=model_year, **dict.fromkeys(mapping, "")))
+            assert set(record.feature_flags) == set(mapping.values())
+            for feature, flag in record.feature_flags.items():
+                assert flag is catalog.lookup_availability("ACME", "ALPHA", model_year, feature), (model_year, feature)
 
     def test_variable_map_covers_the_service_vocabulary(self):
         mapping = load_variable_map()
