@@ -205,6 +205,8 @@ def text_lines(source):
                 yield from chunk.splitlines()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{source} is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise SchemaError(f"cannot read {source}: {exc.strerror or exc}") from None
 
 
 class Table:

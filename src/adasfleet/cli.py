@@ -39,10 +39,6 @@ _FORMAT_CHOICE = click.Choice(["table", "csv", "json"])
 @dataclass
 class RunConfig:
     data_dir: Path | None = None
-    strict_vin: bool = False
-    output_format: str = "table"
-    vpic_mode: CacheMode = CacheMode.OFFLINE
-    vpic_url: str = vpic.DEFAULT_BASE_URL
 
     def resolve(self, kind: str) -> Path:
         """User data directory first, bundled data second, per file."""
@@ -153,31 +149,20 @@ pass_config = click.make_pass_decorator(RunConfig, ensure=True)
 
 @click.group(cls=_Cli, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--data-dir", type=click.Path(path_type=Path), default=None, help="Directory overriding bundled data files.")
-@click.option("--format", "output_format", type=_FORMAT_CHOICE, default="table", show_default=True)
-@click.option("--strict-vin", is_flag=True, help="Treat check-digit failures as hard errors.")
-@click.option("--vpic-mode", type=click.Choice([m.value for m in CacheMode]), default="offline", show_default=True)
-@click.option("--vpic-url", envvar="ADASFLEET_VPIC_URL", default=vpic.DEFAULT_BASE_URL, show_default=True)
 @click.version_option()
 @click.pass_context
-def main(ctx, data_dir, output_format, strict_vin, vpic_mode, vpic_url):
+def main(ctx, data_dir):
     """Estimate how much of the vehicle fleet carries and uses driver-assistance features."""
-    ctx.obj = RunConfig(
-        data_dir=data_dir,
-        strict_vin=strict_vin,
-        output_format=output_format,
-        vpic_mode=CacheMode(vpic_mode),
-        vpic_url=vpic_url,
-    )
+    ctx.obj = RunConfig(data_dir=data_dir)
 
 
-def _decode_rows(vins: list[str], config: RunConfig) -> tuple[list[dict], bool]:
-    cache = FixtureCache(Path(config.data_dir or bundled_data_dir()) / _CACHE_DIR_NAME, config.vpic_mode)
+def _decode_rows(vins: list[str], cache: FixtureCache, strict_vin: bool, vpic_url: str) -> tuple[list[dict], bool]:
     rows, any_failed, parsed = [], False, []
     for text in vins:
         vin, warning = parse_vin_lenient(text)
         row = {"vin": text.strip().upper(), "status": "ok", "model_year": "", "wmi": "",
                "make": "", "model": "", "features": ""}
-        if vin is None or (config.strict_vin and warning):
+        if vin is None or (strict_vin and warning):
             row["status"] = f"error: {warning}"
             any_failed = True
             rows.append(row)
@@ -192,7 +177,7 @@ def _decode_rows(vins: list[str], config: RunConfig) -> tuple[list[dict], bool]:
         parsed.append((row, vin.raw))
         rows.append(row)
     if parsed:
-        records = vpic.batch_decode([raw for _, raw in parsed], cache, base_url=config.vpic_url)
+        records = vpic.batch_decode([raw for _, raw in parsed], cache, base_url=vpic_url)
         for (row, _), record in zip(parsed, records):
             if record.error_text is not None and not record.make:
                 continue
@@ -210,17 +195,17 @@ def _decode_rows(vins: list[str], config: RunConfig) -> tuple[list[dict], bool]:
 @click.argument("vins", nargs=-1)
 @click.option("--file", "vin_file", type=click.Path(exists=True, path_type=Path), default=None,
               help="File with one VIN per line (a leading 'vin' header line is skipped).")
-@click.option("--format", "output_format", type=_FORMAT_CHOICE, default=None)
-@click.option("--strict-vin", is_flag=True, default=None)
+@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="table", show_default=True)
+@click.option("--strict-vin", is_flag=True, help="Treat check-digit failures as hard errors.")
+@click.option("--vpic-mode", type=click.Choice([m.value for m in CacheMode]), default="offline", show_default=True)
+@click.option("--vpic-url", envvar="ADASFLEET_VPIC_URL", default=vpic.DEFAULT_BASE_URL, show_default=True)
 @pass_config
-def decode(config: RunConfig, vins, vin_file, output_format, strict_vin):
+def decode(config: RunConfig, vins, vin_file, fmt, strict_vin, vpic_mode, vpic_url):
     """Parse and decode VINs; add make/model/features from the vPIC cache in <data-dir>/vpic_cache."""
-    if config.vpic_mode is CacheMode.RECORD_THEN_REPLAY and config.data_dir is None:
+    mode = CacheMode(vpic_mode)
+    if mode is CacheMode.RECORD_THEN_REPLAY and config.data_dir is None:
         raise click.UsageError("--vpic-mode record needs --data-dir to hold its vpic_cache directory")
     collected = list(vins)
-    if strict_vin:
-        config.strict_vin = True
-    fmt = output_format or config.output_format
     if vin_file is not None:
         for line in text_lines(vin_file):
             cell = line.split(",")[0].strip()
@@ -228,7 +213,8 @@ def decode(config: RunConfig, vins, vin_file, output_format, strict_vin):
                 collected.append(cell)
     if not collected:
         raise click.UsageError("no VINs given; pass them as arguments or with --file")
-    rows, any_failed = _decode_rows(collected, config)
+    cache = FixtureCache(Path(config.data_dir or bundled_data_dir()) / _CACHE_DIR_NAME, mode)
+    rows, any_failed = _decode_rows(collected, cache, strict_vin, vpic_url)
     headers = ["vin", "status", "model_year", "wmi", "make", "model", "features"]
     if fmt == "json":
         click.echo(_json_rows(rows))
@@ -238,7 +224,7 @@ def decode(config: RunConfig, vins, vin_file, output_format, strict_vin):
             click.echo(",".join(row[h] for h in headers))
     else:
         click.echo(_table(headers, [[row[h] for h in headers] for row in rows]))
-    if any_failed and config.strict_vin:
+    if any_failed and strict_vin:
         sys.exit(1)
 
 
@@ -301,14 +287,13 @@ def _print_estimates(estimates: list[PenetrationEstimate], fmt: str) -> None:
 
 @main.command()
 @click.option("--year", type=int, required=True)
-@click.option("--format", "output_format", type=_FORMAT_CHOICE, default=None)
-@click.option("--max-lag", type=int, default=None, help="Largest adoption lag searched.")
-@click.option("--min-overlap", type=int, default=None, help="Fewest overlapping years a match needs.")
-@click.option("--long-lag-threshold", type=int, default=None, help="Lag beyond which a caution is attached.")
+@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="table", show_default=True)
+@click.option("--max-lag", type=click.IntRange(min=0), default=None, help="Largest adoption lag searched.")
+@click.option("--min-overlap", type=click.IntRange(min=1), default=None, help="Fewest overlapping years a match needs.")
+@click.option("--long-lag-threshold", type=click.IntRange(min=0), default=None, help="Lag beyond which a caution is attached.")
 @pass_config
-def estimate(config: RunConfig, year, output_format, max_lag, min_overlap, long_lag_threshold):
+def estimate(config: RunConfig, year, fmt, max_lag, min_overlap, long_lag_threshold):
     """Per-feature equipped, activation, and activated-of-fleet percentages."""
-    fmt = output_format or config.output_format
     given = {"max_lag": max_lag, "min_overlap": min_overlap, "long_lag_threshold": long_lag_threshold}
     thresholds = EstimatorConfig(**{name: value for name, value in given.items() if value is not None})
     bundle = load_bundle(config)
@@ -356,11 +341,9 @@ def ingest(config: RunConfig, kind, source):
 @click.argument("predicted", type=click.Path(exists=True, path_type=Path))
 @click.argument("estimated", type=click.Path(exists=True, path_type=Path))
 @click.option("--year", type=int, required=True)
-@click.option("--format", "output_format", type=_FORMAT_CHOICE, default=None)
-@pass_config
-def report_forecast(config: RunConfig, predicted, estimated, year, output_format):
+@click.option("--format", "fmt", type=_FORMAT_CHOICE, default="table", show_default=True)
+def report_forecast(predicted, estimated, year, fmt):
     """Signed percentage-point error of predicted vs estimated equipped rates."""
-    fmt = output_format or config.output_format
     predicted_set = datasets.ingest_fleet_csv(predicted, allow_gaps=True)
     estimated_set = datasets.ingest_fleet_csv(estimated, allow_gaps=True)
     shared = [f for f in FeatureId if f in predicted_set and f in estimated_set]

@@ -18,7 +18,7 @@ import hypothesis.strategies as st
 import adasfleet
 from adasfleet import vpic
 from adasfleet.catalog import PRIORITY_FEATURES, FeatureId
-from adasfleet.cli import _json_rows, estimate, main
+from adasfleet.cli import _json_rows, decode, estimate, main
 from adasfleet.datasets import ActivationSource, bundled_data_dir
 from adasfleet.estimator import EstimatorConfig
 from adasfleet.vin import compute_check_digit, encode_model_year
@@ -60,7 +60,7 @@ class TestDecode:
         assert "2001" in result.stdout  # year code '1', digit at position 7
 
     def test_bad_vin_strict_exits_nonzero(self, runner):
-        result = runner.invoke(main, ["--strict-vin", "decode", "BADVIN"])
+        result = runner.invoke(main, ["decode", "--strict-vin", "BADVIN"])
         assert result.exit_code == 1
 
     def test_bad_vin_lenient_exits_zero(self, runner):
@@ -101,7 +101,7 @@ class TestDecode:
         monkeypatch.setattr(vpic, "_http_transport", service)
         data_dir = tmp_path / "fresh"
         vins = [make_vin(i) for i in range(3)]
-        args = ["--data-dir", str(data_dir), "--vpic-mode", "record", "decode", *vins, "--format", "json"]
+        args = ["--data-dir", str(data_dir), "decode", "--vpic-mode", "record", *vins, "--format", "json"]
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         assert [row["make"] for row in json.loads(result.stdout)] == ["ACME"] * 3
@@ -109,7 +109,7 @@ class TestDecode:
         assert sorted(p.name for p in (data_dir / "vpic_cache").iterdir()) == sorted(f"{v}.json" for v in vins)
 
     def test_record_mode_without_data_dir_is_usage_error(self, runner):
-        result = runner.invoke(main, ["--vpic-mode", "record", "decode", make_vin(1)])
+        result = runner.invoke(main, ["decode", "--vpic-mode", "record", make_vin(1)])
         assert result.exit_code == 2
         assert "--data-dir" in result.output
 
@@ -201,6 +201,14 @@ class TestEstimate:
         assert result.exit_code == 1
         assert message in result.stderr.splitlines()[0]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-lag", "-3"), ("--min-overlap", "-5"), ("--min-overlap", "0"), ("--long-lag-threshold", "-1"),
+    ])
+    def test_threshold_below_its_least_value_is_usage_error(self, runner, flag, value):
+        result = runner.invoke(main, ["estimate", "--year", "2022", flag, value])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{flag}'" in result.stderr
+
     def test_huge_max_lag_prints_the_same_table_quickly(self, runner):
         """Only lags that overlap are visited, so the bound's size costs nothing."""
         started = time.perf_counter()
@@ -280,7 +288,7 @@ class TestEstimate:
     ])
     def test_bundled_year_2022_matches_golden_output(self, runner, output_format, golden):
         """Every byte of the bundled 2022 output, legend and cautions included, is pinned."""
-        result = runner.invoke(main, ["--format", output_format, "estimate", "--year", "2022"])
+        result = runner.invoke(main, ["estimate", "--year", "2022", "--format", output_format])
         assert result.exit_code == 0
         assert result.stdout_bytes == (Path(__file__).parent / "golden" / golden).read_bytes()
 
@@ -299,7 +307,7 @@ class TestEstimate:
                 rows = lines[body:] * (2 if duplicate_crash_rows and name == "fars_vehicles.csv" else 1)
                 rows = rng.sample(rows, len(rows))
                 (data / name).write_text("\n".join(lines[:body] + rows) + "\n", encoding="utf-8")
-            result = CliRunner().invoke(main, ["--data-dir", str(data), "--format", "json", "estimate", "--year", "2022"])
+            result = CliRunner().invoke(main, ["--data-dir", str(data), "estimate", "--year", "2022", "--format", "json"])
         assert result.exit_code == 0
         assert result.stdout_bytes == (Path(__file__).parent / "golden" / "estimate_2022.json").read_bytes()
 
@@ -368,6 +376,8 @@ def data_dirs(draw) -> tuple[int, dict[str, str]]:
     return year, {name: "\n".join([header, *map(",".join, rows)]) + "\n" for name, (header, rows) in tables.items()}
 
 
+# Each estimate threshold flag and the least value it accepts.
+THRESHOLD_FLAGS = {"--max-lag": 0, "--min-overlap": 1, "--long-lag-threshold": 0}
 THRESHOLD = sometimes(st.none(), st.one_of(st.integers(-3, 30), st.sampled_from([-10**18, 10**9, 10**18])), 4)
 DEADLINE_S = 2.0
 
@@ -382,14 +392,15 @@ def overran(signum, frame):
 def test_estimate_on_generated_data_ends_in_one_error_line_or_a_table(data_dir, output_format, thresholds):
     """Any data dir and any threshold flags end, within the deadline, in exit 0
     with a six-row table, or in exit 1 with one `error:` line and an optional
-    `hint:` line; never in a traceback.
+    `hint:` line; never in a traceback. A threshold below its flag's least
+    value is a usage error, exit 2, whatever the data.
 
     A timer signal interrupts a run at the deadline, so a loop in Python code
     fails the example instead of hanging the suite.
     """
     year, files = data_dir
-    args = ["--format", output_format, "estimate", "--year", str(year)]
-    for flag, value in zip(["--max-lag", "--min-overlap", "--long-lag-threshold"], thresholds):
+    args = ["estimate", "--year", str(year), "--format", output_format]
+    for flag, value in zip(THRESHOLD_FLAGS, thresholds):
         if value is not None:
             args += [flag, str(value)]
     previous = signal.signal(signal.SIGALRM, overran)
@@ -403,7 +414,11 @@ def test_estimate_on_generated_data_ends_in_one_error_line_or_a_table(data_dir, 
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
-    if result.exit_code == 0:
+    below_minimum = any(v is not None and v < least for v, least in zip(thresholds, THRESHOLD_FLAGS.values()))
+    assert (result.exit_code == 2) == below_minimum, (result.exit_code, result.output)
+    if below_minimum:
+        assert result.stdout == "" and "Invalid value for '--" in result.stderr
+    elif result.exit_code == 0:
         assert result.stderr == "" and result.stdout
         if output_format == "json":
             assert len(json.loads(result.stdout)["estimates"]) == 6
@@ -524,8 +539,50 @@ def test_console_entry_point_runs():
     assert result.stdout.startswith("feature,year,")
 
 
+def test_each_option_has_one_home():
+    """The group declares only what every command shares; no command redeclares it."""
+    group_opts = {opt for param in main.params for opt in param.opts}
+    assert group_opts == {"--data-dir", "--version"}
+    for name, command in main.commands.items():
+        assert not group_opts & {opt for param in command.params for opt in param.opts}, name
+
+
+@pytest.mark.parametrize("args", [
+    ["--format", "json", "estimate", "--year", "2022"],
+    ["--strict-vin", "decode", "BADVIN"],
+    ["--vpic-mode", "record", "decode", ALL_ONES],
+    ["--vpic-url", "http://localhost:1", "decode", ALL_ONES],
+])
+def test_command_options_before_the_command_are_usage_errors(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and args[0] in result.stderr
+
+
+def test_decode_help_shows_its_own_defaults_and_help():
+    result = CliRunner().invoke(main, ["decode", "--help"])
+    assert result.exit_code == 0
+    assert "[default: table]" in result.stdout
+    assert "Treat check-digit failures as hard errors." in result.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["decode", "--file", "{dir}"],
+    ["ingest", "--kind", "fleet", "{dir}"],
+    ["report-forecast", "{dir}", "{dir}", "--year", "2022"],
+    ["--data-dir", "{data}", "estimate", "--year", "2022"],
+])
+def test_directory_where_a_data_file_belongs_is_one_error_line(tmp_path, args):
+    (tmp_path / "adoption.csv").mkdir()
+    paths = {"dir": str(tmp_path / "adoption.csv"), "data": str(tmp_path)}
+    result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: cannot read {paths['dir']}: Is a directory"]
+
+
 def test_vpic_url_flag_is_env_overridable():
-    option = next(p for p in main.params if p.name == "vpic_url")
+    option = next(p for p in decode.params if p.name == "vpic_url")
     assert option.envvar == "ADASFLEET_VPIC_URL"
 
 

@@ -3,7 +3,11 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+from click.testing import CliRunner
+
+from adasfleet.cli import main
 from adasfleet.datasets import bundled_data_dir
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,3 +50,15 @@ def test_benchmark_generator_and_checker_import():
     paths = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
     result = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True, timeout=60, cwd=ROOT)
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_command_lines_run(tmp_path):
+    """perfbench/run.py's `estimate` and `decode` argv must keep running; a CLI change that breaks one fails here."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    (tmp_path / "vins.csv").write_text("vin\n11111111111111111\n1HGCM82633A004352\n", encoding="utf-8")
+    bench = SimpleNamespace(workload="bundled_cli", data=tmp_path)
+    for args in (run.estimate_args(bench), run.decode_args(bench, bench.data)):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
