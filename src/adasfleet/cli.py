@@ -41,9 +41,12 @@ class RunConfig:
     data_dir: Path | None = None
 
     def resolve(self, kind: str) -> Path:
-        """User data directory first, bundled data second, per file."""
+        """User data directory first, bundled data second, per file; a data
+        directory that does not exist is an error, not a fallback."""
         name = DATA_FILES[kind]
         if self.data_dir is not None:
+            if not Path(self.data_dir).is_dir():
+                raise AdasFleetError(f"data directory {self.data_dir} does not exist")
             candidate = Path(self.data_dir) / name
             if candidate.exists():
                 return candidate
@@ -148,7 +151,8 @@ pass_config = click.make_pass_decorator(RunConfig, ensure=True)
 
 
 @click.group(cls=_Cli, context_settings={"help_option_names": ["-h", "--help"]})
-@click.option("--data-dir", type=click.Path(path_type=Path), default=None, help="Directory overriding bundled data files.")
+@click.option("--data-dir", type=click.Path(file_okay=False, path_type=Path), default=None,
+              help="Directory overriding bundled data files.")
 @click.version_option()
 @click.pass_context
 def main(ctx, data_dir):
@@ -174,11 +178,15 @@ def _decode_rows(vins: list[str], cache: FixtureCache, strict_vin: bool, vpic_ur
             row["model_year"] = str(vin.model_year)
         except IllegalYearCode as exc:
             row["status"] = f"warning: {exc}"
-        parsed.append((row, vin.raw))
+        parsed.append((row, vin))
         rows.append(row)
     if parsed:
-        records = vpic.batch_decode([raw for _, raw in parsed], cache, base_url=vpic_url)
+        records = vpic.batch_decode([vin for _, vin in parsed], cache, base_url=vpic_url)
         for (row, _), record in zip(parsed, records):
+            if record.model_year is None:  # no document: a cache miss or a fetch that fell short
+                miss = f"miss: {record.error_text}"
+                row["status"] = miss if row["status"] == "ok" else f"{row['status']}; {miss}"
+                continue
             if record.error_text is not None and not record.make:
                 continue
             row["make"], row["model"] = record.make, record.model

@@ -1,9 +1,9 @@
 """Batch VIN decoding against the NHTSA vPIC service, with a fixture cache.
 
 Every decoded VIN is a flat variable-name -> value document. The cache
-stores one JSON document per VIN, so offline runs (the default, and the only
-mode the test suite exercises) replay recorded responses and never open a
-network connection.
+stores one JSON document of its non-blank fields per VIN, so offline runs
+(the default, and the only mode the test suite exercises) replay recorded
+responses and never open a network connection.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 from .catalog import Availability, FeatureId, Table, absent_availability, feature_from_name
 from .datasets import VehicleRecord
 from .errors import IllegalYearCode, MalformedResponse, NetworkError, SchemaError
-from .vin import parse_vin, parse_vin_lenient
+from .vin import Vin, parse_vin, parse_vin_lenient
 
 DEFAULT_BASE_URL = "https://vpic.nhtsa.dot.gov/api/vehicles/DecodeVINValuesBatch/"
 
@@ -80,23 +80,25 @@ class FixtureCache:
 
         The file is opened once. A missing file, a missing or non-directory
         cache path and a symlink loop are misses, as `Path.exists()` treats
-        them; any other OS error propagates.
+        them; any other OS error is a SchemaError naming the file.
         """
+        path = os.path.join(self.path, vin + ".json")
         try:
-            with open(os.path.join(self.path, vin + ".json"), "rb") as doc:
+            with open(path, "rb") as doc:
                 data = doc.read()
         except OSError as exc:
             if exc.errno in _MISS_ERRNOS:
                 return None
-            raise
+            raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from None
         try:
             return json.loads(data.decode("utf-8"))
         except ValueError as exc:
             raise MalformedResponse(f"cached document for {vin} is not valid JSON: {exc}") from None
 
     def store(self, vin: str, document: Mapping) -> None:
-        """Write through a temporary file, so an interrupted write leaves no partial document."""
-        text = json.dumps(dict(document), indent=2, sort_keys=True)
+        """Write the non-blank fields (readers take a blank one as missing) through a
+        temporary file, so an interrupted write leaves no partial document."""
+        text = json.dumps({k: v for k, v in document.items() if _text(v)}, indent=2, sort_keys=True)
         directory = Path(self.path)
         temp = directory / f".{vin}.{os.getpid()}.{threading.get_ident()}.tmp"
         with self._lock:
@@ -118,18 +120,26 @@ class RequestLimits:
     timeout: float = 30.0
 
 
+def _text(value) -> str:
+    """A field's value as stripped text; "" (blank) reads as a missing field."""
+    return str(value).strip()
+
+
 def _first(raw: Mapping[str, str], keys) -> str | None:
     for key in keys:
-        if key in raw and str(raw[key]).strip():
-            return str(raw[key]).strip()
+        text = _text(raw.get(key, ""))
+        if text:
+            return text
     return None
 
 
-def normalize_vpic_record(raw: Mapping[str, str]) -> VehicleRecord:
+def normalize_vpic_record(raw: Mapping[str, str], parsed: Vin | None = None) -> VehicleRecord:
     """Flat name/value decode fields -> VehicleRecord, with no crash year.
 
     Unrecognized variables are ignored; a mapped variable with a blank value
     becomes `absent_availability(model_year)`, as a catalog miss does.
+    `parsed` is the VIN the caller asked for; the echoed VIN is parsed for
+    the model-year check only when it differs.
     """
     vin = _first(raw, _VIN_KEYS)
     if vin is None:
@@ -145,11 +155,11 @@ def normalize_vpic_record(raw: Mapping[str, str]) -> VehicleRecord:
     flags: dict[FeatureId, Availability] = {}
     absent = absent_availability(model_year)
     for variable, feature in _bundled_variable_map().items():
-        value = str(raw.get(variable, "")).strip().lower()
-        flags[feature] = _VALUE_MAP.get(value, absent)
+        flags[feature] = _VALUE_MAP.get(_text(raw.get(variable, "")).lower(), absent)
 
     error_text = _first(raw, _ERROR_KEYS)
-    parsed, _ = parse_vin_lenient(vin)
+    if parsed is None or parsed.raw != vin.upper():
+        parsed, _ = parse_vin_lenient(vin)
     if parsed is not None:
         try:
             decoded_year = parsed.model_year
@@ -161,8 +171,8 @@ def normalize_vpic_record(raw: Mapping[str, str]) -> VehicleRecord:
     return VehicleRecord(
         vin=vin.upper(),
         crash_year=None,
-        make=str(raw.get("Make", "")).strip(),
-        model=str(raw.get("Model", "")).strip(),
+        make=_text(raw.get("Make", "")),
+        model=_text(raw.get("Model", "")),
         model_year=model_year,
         feature_flags=flags,
         error_text=error_text,
@@ -190,14 +200,14 @@ def _http_transport(url: str, body: Mapping[str, str], timeout: float) -> dict:
 
 
 def _fetch_batch(
-    batch: list[str], cache: FixtureCache, base_url: str, limits: RequestLimits, transport: Callable
+    batch: list[Vin], cache: FixtureCache, base_url: str, limits: RequestLimits, transport: Callable
 ) -> list[VehicleRecord]:
     """Fetch one batch, retrying only transport (OS-level) errors.
 
     In record mode the batch's documents are cached as soon as all of them
     normalize, so a later batch's failure cannot lose them.
     """
-    body = {"DATA": ";".join(batch), "format": "json"}
+    body = {"DATA": ";".join(vin.raw for vin in batch), "format": "json"}
     last_error = None
     for attempt in range(limits.attempts):
         if attempt:
@@ -219,18 +229,19 @@ def _fetch_batch(
         if echoed:
             by_vin[echoed.upper()] = raw
     records = [
-        normalize_vpic_record(by_vin[vin]) if vin in by_vin else _miss_record(vin, "missing from response")
+        normalize_vpic_record(by_vin[vin.raw], vin) if vin.raw in by_vin
+        else _miss_record(vin.raw, "missing from response")
         for vin in batch
     ]
     if cache.mode is CacheMode.RECORD_THEN_REPLAY:
         for vin in batch:
-            if vin in by_vin:
-                cache.store(vin, by_vin[vin])
+            if vin.raw in by_vin:
+                cache.store(vin.raw, by_vin[vin.raw])
     return records
 
 
 def batch_decode(
-    vins: list[str],
+    vins: list[str | Vin],
     cache: FixtureCache,
     limits: RequestLimits = RequestLimits(),
     base_url: str = DEFAULT_BASE_URL,
@@ -240,20 +251,20 @@ def batch_decode(
 
     Offline mode never touches the network; misses get error_text instead.
     Record mode fetches misses and writes each batch back to the cache as it
-    succeeds. Live mode skips the cache in both directions. Structurally
-    invalid VINs are a precondition violation and raise before any request
-    is made.
+    succeeds. Live mode skips the cache in both directions. A VIN given as
+    a string is parsed here; a structurally invalid one is a precondition
+    violation and raises before any request is made.
     """
-    vins = [parse_vin(v, strict=False).raw for v in vins]
+    vins = [v if isinstance(v, Vin) else parse_vin(v, strict=False) for v in vins]
 
     records: list[VehicleRecord | None] = [None] * len(vins)
     to_fetch: list[int] = []
     for i, vin in enumerate(vins):
-        raw = cache.load(vin) if cache.mode is not CacheMode.LIVE_ONLY else None
+        raw = cache.load(vin.raw) if cache.mode is not CacheMode.LIVE_ONLY else None
         if raw is not None:
-            records[i] = normalize_vpic_record(raw)
+            records[i] = normalize_vpic_record(raw, vin)
         elif cache.mode is CacheMode.OFFLINE:
-            records[i] = _miss_record(vin, "cache miss")
+            records[i] = _miss_record(vin.raw, "cache miss")
         else:
             to_fetch.append(i)
 
@@ -269,7 +280,7 @@ def batch_decode(
             except NetworkError:
                 if cache.mode is CacheMode.LIVE_ONLY:
                     raise
-                return [_miss_record(vins[i], "network error") for i in batch_indices]
+                return [_miss_record(vins[i].raw, "network error") for i in batch_indices]
 
         with ThreadPoolExecutor(max_workers=max(1, limits.max_in_flight)) as pool:
             for batch_indices, batch_records in zip(batches, pool.map(run, batches)):

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import adasfleet
-from adasfleet import vpic
+from adasfleet import vin as vin_module, vpic
 from adasfleet.catalog import PRIORITY_FEATURES, FeatureId
 from adasfleet.cli import _json_rows, decode, estimate, main
 from adasfleet.datasets import ActivationSource, bundled_data_dir
@@ -125,6 +125,79 @@ class TestDecode:
         (row,) = json.loads(result.stdout)
         assert row["make"] == "ACME"
         assert "adaptive_cruise_control=standard" in row["features"]
+
+    def test_vin_with_no_decode_is_a_miss(self, runner):
+        bad_check_digit = "1M8GDM9AYKP042788"
+        result = runner.invoke(main, ["decode", "1M8GDM9AXKP042788", ALL_ONES, bad_check_digit, "--format", "json"])
+        assert result.exit_code == 0
+        assert [row["status"] for row in json.loads(result.stdout)] == [
+            "miss: cache miss",
+            "miss: cache miss",
+            "warning: check digit mismatch in '1M8GDM9AYKP042788': expected 'X', found 'Y'; miss: cache miss",
+        ]
+
+    def test_vin_the_service_leaves_out_is_a_miss(self, runner, tmp_path, monkeypatch):
+        answered, omitted = make_vin(1), make_vin(2)
+
+        def service(url, body, timeout):
+            return {"Results": [{"VIN": answered, "Make": "ACME", "Model": "ALPHA", "Model Year": "2021"}]}
+
+        monkeypatch.setattr(vpic, "_http_transport", service)
+        args = ["--data-dir", str(tmp_path), "decode", "--vpic-mode", "record", answered, omitted, "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert [row["status"] for row in json.loads(result.stdout)] == ["ok", "miss: missing from response"]
+
+    def test_unreadable_cached_document_is_one_error_line(self, runner, tmp_path):
+        path = tmp_path / "vpic_cache" / f"{ALL_ONES}.json"
+        path.mkdir(parents=True)
+        result = runner.invoke(main, ["--data-dir", str(tmp_path), "decode", ALL_ONES])
+        assert isinstance(result.exception, SystemExit), result.exc_info
+        assert result.exit_code == 1 and result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: cannot read {path}: Is a directory"]
+
+    def test_each_vin_is_parsed_once(self, runner, data_dir_copy, monkeypatch):
+        vins = [make_vin(i) for i in range(5)]
+        cache = FixtureCache(data_dir_copy / "vpic_cache")
+        for vin in vins:
+            cache.store(vin, {"VIN": vin, "Make": "ACME", "Model": "ALPHA", "Model Year": "2021"})
+        calls = []
+        real_parse = vin_module._parse
+        monkeypatch.setattr(vin_module, "_parse", lambda text: calls.append(text) or real_parse(text))
+        result = runner.invoke(main, ["--data-dir", str(data_dir_copy), "decode", *vins, "--format", "json"])
+        assert result.exit_code == 0
+        assert [row["make"] for row in json.loads(result.stdout)] == ["ACME"] * len(vins)
+        assert calls == vins
+
+    def test_full_documents_replay_like_stored_ones(self, runner, tmp_path):
+        """A cache written before `store` dropped blank fields replays to the same bytes."""
+        names = list(vpic.load_variable_map())
+        values = ["Standard", "Optional", "Not Available", "", " ", None, "standard "]
+        documents = {}
+        for i in range(12):
+            vin = make_vin(i, year_code="L" if i % 3 else "M")
+            document = {"VIN": vin, "Make": "ACME" if i % 4 else "", "Model": "ALPHA", "Model Year": "2021",
+                        "Error Code": "0", "Error Text": "" if i % 2 else "1 - check digit", "Trim": "", "Series": " "}
+            document.update({name: values[(i + j) % len(values)] for j, name in enumerate(names)})
+            documents[vin] = document
+        outputs = []
+        for layout in ("full", "stored"):
+            cache_dir = tmp_path / layout / "vpic_cache"
+            cache_dir.mkdir(parents=True)
+            for vin, document in documents.items():
+                if layout == "full":
+                    text = json.dumps(document, indent=2, sort_keys=True)
+                    (cache_dir / f"{vin}.json").write_text(text, encoding="utf-8")
+                else:
+                    FixtureCache(cache_dir).store(vin, document)
+            args = ["--data-dir", str(tmp_path / layout), "decode", *documents, make_vin(99), "--format", "json"]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            outputs.append(result.stdout_bytes)
+        assert outputs[0] == outputs[1]
+        size = {layout: sum(p.stat().st_size for p in (tmp_path / layout / "vpic_cache").iterdir())
+                for layout in ("full", "stored")}
+        assert size["stored"] < size["full"]
 
 
 # Flat str -> str rows with non-ASCII text, control characters, quotes,
@@ -579,6 +652,25 @@ def test_directory_where_a_data_file_belongs_is_one_error_line(tmp_path, args):
     assert isinstance(result.exception, SystemExit), result.exc_info
     assert result.exit_code == 1 and result.stdout == ""
     assert result.stderr.splitlines() == [f"error: cannot read {paths['dir']}: Is a directory"]
+
+
+def test_data_dir_that_is_a_file_is_usage_error(tmp_path):
+    (tmp_path / "notes.txt").write_text("", encoding="utf-8")
+    result = CliRunner().invoke(main, ["--data-dir", str(tmp_path / "notes.txt"), "estimate", "--year", "2022"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--data-dir'" in result.stderr and "is a file" in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["estimate", "--year", "2022"],
+    ["ingest", "--kind", "fars", str(bundled_data_dir() / "fars_vehicles.csv")],
+])
+def test_data_dir_that_does_not_exist_is_one_error_line(tmp_path, args):
+    missing = tmp_path / "no" / "such"
+    result = CliRunner().invoke(main, ["--data-dir", str(missing), *args])
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: data directory {missing} does not exist"]
 
 
 def test_vpic_url_flag_is_env_overridable():

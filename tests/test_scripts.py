@@ -62,3 +62,33 @@ def test_benchmark_command_lines_run(tmp_path):
     for args in (run.estimate_args(bench), run.decode_args(bench, bench.data)):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 0, (args, result.output)
+
+
+def test_benchmark_record_then_replay_round_trip(tmp_path, monkeypatch):
+    """The vpic_20k workload, scaled down: record through the fake service, replay through the CLI.
+
+    A store or replay change that would make the benchmark count failures fails here.
+    """
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import check
+    import gen
+    from adasfleet import vpic
+
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    manifest = gen.generate("vpic_20k", 1, tmp_path, scale=0.01)
+    vehicles = json.loads((tmp_path / "vehicles.json").read_text(encoding="utf-8"))
+    makes = check.expected_makes(vehicles)
+    assert manifest["decode_vins"] == len(vehicles) > 0 and manifest["service_omitted"] > 0
+
+    data = tmp_path / "data"
+    cache = vpic.FixtureCache(data / "vpic_cache", vpic.CacheMode.RECORD_THEN_REPLAY)
+    records = vpic.batch_decode([v["vin"] for v in vehicles], cache, transport=gen.service_transport(vehicles))
+    cached = sum(1 for _ in (data / "vpic_cache").iterdir())
+    assert check.check_record([r.make for r in records], makes, cached) == []
+
+    bench = SimpleNamespace(workload="vpic_20k", data=data)
+    result = CliRunner().invoke(main, run.decode_args(bench, data))
+    assert result.exit_code == 0, result.output
+    assert check.check_decode(result.stdout, makes) == []

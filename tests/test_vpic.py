@@ -5,12 +5,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
-from adasfleet import vpic
+from adasfleet import vin as vin_module, vpic
 from adasfleet.catalog import Availability, Catalog, FeatureId
 from adasfleet.datasets import AdoptionPoint, fars_adoption_series
-from adasfleet.errors import MalformedResponse, NetworkError, WrongLength
-from adasfleet.vin import compute_check_digit
+from adasfleet.errors import MalformedResponse, NetworkError, SchemaError, WrongLength
+from adasfleet.vin import compute_check_digit, parse_vin
 from adasfleet.vpic import (
     CacheMode,
     FixtureCache,
@@ -156,8 +158,53 @@ class TestFixtureCache:
     def test_unreadable_document_is_not_a_miss(self, tmp_path):
         vin = make_vin(0)
         (tmp_path / f"{vin}.json").mkdir()
-        with pytest.raises(IsADirectoryError):
+        with pytest.raises(SchemaError) as caught:
             FixtureCache(tmp_path).load(vin)
+        assert str(caught.value) == f"cannot read {tmp_path / vin}.json: Is a directory"
+
+    def test_store_keeps_only_non_blank_fields(self, tmp_path):
+        vin = make_vin(0)
+        cache = FixtureCache(tmp_path)
+        cache.store(vin, document(vin, **{ACC_VAR: "Standard", LCA_VAR: " ", "Error Text": "", "Filler": None}))
+        stored = json.loads((tmp_path / f"{vin}.json").read_text(encoding="utf-8"))
+        assert stored == document(vin, **{ACC_VAR: "Standard", "Filler": None})
+
+    # Field values as a decode response may carry them: blanks (a no-break
+    # space included), padding, availability words in any case, nulls,
+    # numbers and VINs: the asked-for one in either case, or another with a
+    # different model-year code. No st.text(): its first use builds a
+    # character table that can trip the too-slow health check.
+    _vins = [make_vin(0), make_vin(0).lower(), make_vin(1, year_code="L")]
+    _values = st.one_of(
+        st.sampled_from(["", " ", "\t \n", "\u00a0", "Standard", " optional ", "NOT AVAILABLE", "n/a",
+                         "Not Applicable", "2021", " 2019 ", "x", "\u00e9", "0", *_vins]),
+        st.none(),
+        st.integers(min_value=1970, max_value=2050),
+        st.floats(allow_nan=False),
+    )
+    # Every other field a document may hold, each present or not: the mapped
+    # variables, the alternative spellings of the echoed fields, and filler.
+    _fields = dict.fromkeys([*load_variable_map(), "Vin", "vin", "Make", "Model", "ModelYear",
+                             "Error Text", "ErrorText", "Error Code", "Body Class", "Trim"], _values)
+    _documents = st.fixed_dictionaries(
+        {"VIN": st.sampled_from(_vins) | _values, "Model Year": st.integers(1980, 2039) | _values},
+        optional=_fields,
+    )
+
+    @staticmethod
+    def _outcome(raw, parsed=None):
+        try:
+            return normalize_vpic_record(raw, parsed)
+        except MalformedResponse as exc:
+            return str(exc)
+
+    @given(raw=_documents)
+    def test_replay_of_a_stored_document_normalizes_like_the_original(self, raw, tmp_path_factory):
+        vin = make_vin(0)
+        cache = FixtureCache(tmp_path_factory.mktemp("cache"))
+        cache.store(vin, raw)
+        replayed = cache.load(vin)
+        assert self._outcome(replayed, parse_vin(vin)) == self._outcome(raw) == self._outcome(raw, parse_vin(vin))
 
     @pytest.mark.parametrize("content", [
         b'{"VIN": "\xff"}',
@@ -208,6 +255,22 @@ class TestOfflineMode:
         records = batch_decode(vins, cache, FAST, transport=CountingTransport())
         series = fars_adoption_series(records, FeatureId.ADAPTIVE_CRUISE_CONTROL)
         assert series.points == {2021: AdoptionPoint(Fraction(1, 2), Fraction(1, 4))}
+
+    def test_each_cached_vin_is_parsed_once(self, warm_cache, monkeypatch):
+        calls = []
+        real_parse = vin_module._parse
+
+        def counting_parse(text):
+            calls.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(vin_module, "_parse", counting_parse)
+        vins = [parse_vin(make_vin(serial), strict=False) for serial in range(4)]
+        calls.clear()
+        records = batch_decode(vins, warm_cache, FAST, transport=CountingTransport())
+        assert calls == [] and [r.make for r in records] == ["ACME"] * 4
+        batch_decode([v.raw for v in vins], warm_cache, FAST, transport=CountingTransport())
+        assert calls == [v.raw for v in vins]
 
     def test_structurally_invalid_vin_raises(self, warm_cache):
         with pytest.raises(WrongLength):
