@@ -20,7 +20,7 @@ from . import datasets, estimator, vpic
 from .catalog import Catalog, FeatureId, PRIORITY_FEATURES, Availability, load_catalog, text_lines
 from .datasets import ActivationTable, AdoptionSeries, FarsIngest, FleetSeries, bundled_data_dir
 from .errors import AdasFleetError, EmptyCohort, IllegalYearCode
-from .estimator import CautionFlag, EstimatorConfig, PenetrationEstimate
+from .estimator import EstimatorConfig, PenetrationEstimate
 from .vin import parse_vin_lenient
 from .vpic import CacheMode, FixtureCache
 
@@ -36,24 +36,20 @@ _CACHE_DIR_NAME = "vpic_cache"
 _FORMAT_CHOICE = click.Choice(["table", "csv", "json"])
 
 
-@dataclass
-class RunConfig:
-    data_dir: Path | None = None
-
-    def resolve(self, kind: str) -> Path:
-        """User data directory first, bundled data second, per file; a data
-        directory that does not exist is an error, not a fallback."""
-        name = DATA_FILES[kind]
-        if self.data_dir is not None:
-            if not Path(self.data_dir).is_dir():
-                raise AdasFleetError(f"data directory {self.data_dir} does not exist")
-            candidate = Path(self.data_dir) / name
-            if candidate.exists():
-                return candidate
-        bundled = bundled_data_dir() / name
-        if bundled.exists():
-            return bundled
-        raise AdasFleetError(f"no {name} in {self.data_dir or 'the data directory'} and none bundled")
+def resolve(data_dir: Path | None, kind: str) -> Path:
+    """User data directory first, bundled data second, per file; a data
+    directory that does not exist is an error, not a fallback."""
+    name = DATA_FILES[kind]
+    if data_dir is not None:
+        if not data_dir.is_dir():
+            raise AdasFleetError(f"data directory {data_dir} does not exist")
+        candidate = data_dir / name
+        if candidate.exists():
+            return candidate
+    bundled = bundled_data_dir() / name
+    if bundled.exists():
+        return bundled
+    raise AdasFleetError(f"no {name} in {data_dir or 'the data directory'} and none bundled")
 
 
 @dataclass
@@ -65,19 +61,19 @@ class DataBundle:
     fars: FarsIngest
 
 
-def load_bundle(config: RunConfig) -> DataBundle:
+def load_bundle(data_dir: Path | None) -> DataBundle:
     """Load the full estimation input set with directory precedence.
 
     Published series are isolated data points by nature, so gaps between
     years are allowed here; strict contiguity applies to `ingest` instead.
     """
-    catalog = load_catalog(config.resolve("catalog"))
+    catalog = load_catalog(resolve(data_dir, "catalog"))
     return DataBundle(
-        adoption=datasets.ingest_adoption_csv(config.resolve("adoption"), allow_gaps=True),
-        fleet=datasets.ingest_fleet_csv(config.resolve("fleet"), allow_gaps=True),
-        activation=datasets.ingest_activation_csv(config.resolve("activation")),
+        adoption=datasets.ingest_adoption_csv(resolve(data_dir, "adoption"), allow_gaps=True),
+        fleet=datasets.ingest_fleet_csv(resolve(data_dir, "fleet"), allow_gaps=True),
+        activation=datasets.ingest_activation_csv(resolve(data_dir, "activation")),
         catalog=catalog,
-        fars=datasets.ingest_fars_csv(config.resolve("fars"), catalog),
+        fars=datasets.ingest_fars_csv(resolve(data_dir, "fars"), catalog),
     )
 
 
@@ -89,10 +85,6 @@ def build_fars_series(bundle: DataBundle) -> dict[FeatureId, AdoptionSeries]:
         except EmptyCohort:
             continue
     return series
-
-
-def _render_cautions(cautions: frozenset[CautionFlag]) -> list[str]:
-    return sorted(flag.render() for flag in cautions)
 
 
 def _pp_text(value: Decimal) -> str:
@@ -147,9 +139,6 @@ class _Cli(click.Group):
             sys.exit(1)
 
 
-pass_config = click.make_pass_decorator(RunConfig, ensure=True)
-
-
 @click.group(cls=_Cli, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--data-dir", type=click.Path(file_okay=False, path_type=Path), default=None,
               help="Directory overriding bundled data files.")
@@ -157,7 +146,7 @@ pass_config = click.make_pass_decorator(RunConfig, ensure=True)
 @click.pass_context
 def main(ctx, data_dir):
     """Estimate how much of the vehicle fleet carries and uses driver-assistance features."""
-    ctx.obj = RunConfig(data_dir=data_dir)
+    ctx.obj = data_dir
 
 
 def _decode_rows(vins: list[str], cache: FixtureCache, strict_vin: bool, vpic_url: str) -> tuple[list[dict], bool]:
@@ -187,8 +176,6 @@ def _decode_rows(vins: list[str], cache: FixtureCache, strict_vin: bool, vpic_ur
                 miss = f"miss: {record.error_text}"
                 row["status"] = miss if row["status"] == "ok" else f"{row['status']}; {miss}"
                 continue
-            if record.error_text is not None and not record.make:
-                continue
             row["make"], row["model"] = record.make, record.model
             present = [
                 f"{f.value}={record.feature_flags[f].value}"
@@ -207,11 +194,11 @@ def _decode_rows(vins: list[str], cache: FixtureCache, strict_vin: bool, vpic_ur
 @click.option("--strict-vin", is_flag=True, help="Treat check-digit failures as hard errors.")
 @click.option("--vpic-mode", type=click.Choice([m.value for m in CacheMode]), default="offline", show_default=True)
 @click.option("--vpic-url", envvar="ADASFLEET_VPIC_URL", default=vpic.DEFAULT_BASE_URL, show_default=True)
-@pass_config
-def decode(config: RunConfig, vins, vin_file, fmt, strict_vin, vpic_mode, vpic_url):
+@click.pass_obj
+def decode(data_dir: Path | None, vins, vin_file, fmt, strict_vin, vpic_mode, vpic_url):
     """Parse and decode VINs; add make/model/features from the vPIC cache in <data-dir>/vpic_cache."""
     mode = CacheMode(vpic_mode)
-    if mode is CacheMode.RECORD_THEN_REPLAY and config.data_dir is None:
+    if mode is CacheMode.RECORD_THEN_REPLAY and data_dir is None:
         raise click.UsageError("--vpic-mode record needs --data-dir to hold its vpic_cache directory")
     collected = list(vins)
     if vin_file is not None:
@@ -221,7 +208,7 @@ def decode(config: RunConfig, vins, vin_file, fmt, strict_vin, vpic_mode, vpic_u
                 collected.append(cell)
     if not collected:
         raise click.UsageError("no VINs given; pass them as arguments or with --file")
-    cache = FixtureCache(Path(config.data_dir or bundled_data_dir()) / _CACHE_DIR_NAME, mode)
+    cache = FixtureCache((data_dir or bundled_data_dir()) / _CACHE_DIR_NAME, mode)
     rows, any_failed = _decode_rows(collected, cache, strict_vin, vpic_url)
     headers = ["vin", "status", "model_year", "wmi", "make", "model", "features"]
     if fmt == "json":
@@ -244,8 +231,8 @@ _CAUTION_NOTES = {
 }
 
 
-def _estimate_payload(estimates: list[PenetrationEstimate]) -> list[dict]:
-    return [
+def _print_estimates(estimates: list[PenetrationEstimate], fmt: str) -> None:
+    payload = [
         {
             "feature": est.feature.value,
             "year": est.year,
@@ -253,14 +240,10 @@ def _estimate_payload(estimates: list[PenetrationEstimate]) -> list[dict]:
             "activation_pct": est.activation_pct,
             "activated_of_fleet_pct": est.activated_of_fleet_pct,
             "provenance": est.equipped_provenance.render(),
-            "cautions": _render_cautions(est.cautions),
+            "cautions": sorted(flag.render() for flag in est.cautions),
         }
         for est in estimates
     ]
-
-
-def _print_estimates(estimates: list[PenetrationEstimate], fmt: str) -> None:
-    payload = _estimate_payload(estimates)
     if fmt == "json":
         click.echo(json.dumps({"year": estimates[0].year, "estimates": payload}, indent=2))
         return
@@ -296,20 +279,22 @@ def _print_estimates(estimates: list[PenetrationEstimate], fmt: str) -> None:
 @main.command()
 @click.option("--year", type=int, required=True)
 @click.option("--format", "fmt", type=_FORMAT_CHOICE, default="table", show_default=True)
-@click.option("--max-lag", type=click.IntRange(min=0), default=None, help="Largest adoption lag searched.")
-@click.option("--min-overlap", type=click.IntRange(min=1), default=None, help="Fewest overlapping years a match needs.")
-@click.option("--long-lag-threshold", type=click.IntRange(min=0), default=None, help="Lag beyond which a caution is attached.")
-@pass_config
-def estimate(config: RunConfig, year, fmt, max_lag, min_overlap, long_lag_threshold):
+@click.option("--max-lag", type=click.IntRange(min=0), default=estimator.DEFAULT_CONFIG.max_lag,
+              show_default=True, help="Largest adoption lag searched.")
+@click.option("--min-overlap", type=click.IntRange(min=1), default=estimator.DEFAULT_CONFIG.min_overlap,
+              show_default=True, help="Fewest overlapping years a match needs.")
+@click.option("--long-lag-threshold", type=click.IntRange(min=0), default=estimator.DEFAULT_CONFIG.long_lag_threshold,
+              show_default=True, help="Lag beyond which a caution is attached.")
+@click.pass_obj
+def estimate(data_dir: Path | None, year, fmt, max_lag, min_overlap, long_lag_threshold):
     """Per-feature equipped, activation, and activated-of-fleet percentages."""
-    given = {"max_lag": max_lag, "min_overlap": min_overlap, "long_lag_threshold": long_lag_threshold}
-    thresholds = EstimatorConfig(**{name: value for name, value in given.items() if value is not None})
-    bundle = load_bundle(config)
+    bundle = load_bundle(data_dir)
     missing = bundle.activation.missing_priority()
     if missing:
         raise AdasFleetError(f"activation table lacks entries for: {', '.join(f.value for f in missing)}")
     estimates = estimator.estimate_table(
-        year, bundle.fleet, bundle.adoption, build_fars_series(bundle), bundle.activation, thresholds
+        year, bundle.fleet, bundle.adoption, build_fars_series(bundle), bundle.activation,
+        EstimatorConfig(max_lag, min_overlap, long_lag_threshold),
     )
     _print_estimates(estimates, fmt)
 
@@ -317,17 +302,13 @@ def estimate(config: RunConfig, year, fmt, max_lag, min_overlap, long_lag_thresh
 @main.command()
 @click.option("--kind", type=click.Choice(sorted(DATA_FILES)), required=True)
 @click.argument("source", type=click.Path(exists=True, path_type=Path))
-@pass_config
-def ingest(config: RunConfig, kind, source):
+@click.pass_obj
+def ingest(data_dir: Path | None, kind, source):
     """Validate a data file and print what it holds."""
-    if kind == "adoption":
-        series = datasets.ingest_adoption_csv(source)
+    if kind in ("adoption", "fleet"):
+        series = (datasets.ingest_adoption_csv if kind == "adoption" else datasets.ingest_fleet_csv)(source)
         points = sum(len(s.points) for s in series.values())
-        click.echo(f"ok: {len(series)} adoption series, {points} points")
-    elif kind == "fleet":
-        series = datasets.ingest_fleet_csv(source)
-        points = sum(len(s.points) for s in series.values())
-        click.echo(f"ok: {len(series)} fleet series, {points} points")
+        click.echo(f"ok: {len(series)} {kind} series, {points} points")
     elif kind == "activation":
         table = datasets.ingest_activation_csv(source)
         click.echo(f"ok: {len(table.entries)} activation entries")
@@ -338,7 +319,7 @@ def ingest(config: RunConfig, kind, source):
         catalog = load_catalog(source)
         click.echo(f"ok: {len(catalog)} catalog records")
     else:
-        catalog = load_catalog(config.resolve("catalog"))
+        catalog = load_catalog(resolve(data_dir, "catalog"))
         result = datasets.ingest_fars_csv(source, catalog)
         click.echo(f"ok: {len(result.records)} vehicle records, {result.warning_count} warnings")
         for warning in result.warnings:

@@ -223,31 +223,6 @@ class EquippedEstimate:
     match: LagMatch | None = None
 
 
-def _lag_route(
-    feature: FeatureId,
-    year: int,
-    target: AdoptionSeries,
-    fleet_series_set: Mapping[FeatureId, FleetSeries],
-    adoption_series_set: Mapping[FeatureId, AdoptionSeries],
-    config: EstimatorConfig,
-    kind: ProvenanceKind,
-) -> EquippedEstimate:
-    candidates = [s for f, s in adoption_series_set.items() if f is not feature]
-
-    def transferable(analog: FeatureId, lag: int) -> bool:
-        series = fleet_series_set.get(analog)
-        return series is not None and (year - lag) in series.points
-
-    match = match_lag(target, candidates, config, admissible=transferable)
-    transfer = transfer_fleet_rate(match, fleet_series_set[match.analog], year)
-    return EquippedEstimate(
-        rate=transfer.rate,
-        provenance=Provenance(kind, match.analog, match.lag_years),
-        cautions=match.cautions | transfer.cautions,
-        match=match,
-    )
-
-
 def estimate_equipped(
     feature: FeatureId,
     year: int,
@@ -273,14 +248,28 @@ def estimate_equipped(
     routes = [(ProvenanceKind.LAG_TRANSFER, adoption_series_set.get(feature))]
     if fars_series_set:
         routes.append((ProvenanceKind.FARS_LAG_TRANSFER, fars_series_set.get(feature)))
+    candidates = [s for f, s in adoption_series_set.items() if f is not feature]
+
+    def transferable(analog: FeatureId, lag: int) -> bool:
+        series = fleet_series_set.get(analog)
+        return series is not None and (year - lag) in series.points
+
     failures = []
     for kind, target in routes:
         if target is None or not target.points:
             continue
         try:
-            return _lag_route(feature, year, target, fleet_series_set, adoption_series_set, config, kind)
+            match = match_lag(target, candidates, config, admissible=transferable)
+            transfer = transfer_fleet_rate(match, fleet_series_set[match.analog], year)
         except (NoCandidateQualifies, YearNotInSeries) as exc:
             failures.append(str(exc))
+            continue
+        return EquippedEstimate(
+            rate=transfer.rate,
+            provenance=Provenance(kind, match.analog, match.lag_years),
+            cautions=match.cautions | transfer.cautions,
+            match=match,
+        )
     if failures:
         hint = "; ".join(dict.fromkeys(failures))
     else:

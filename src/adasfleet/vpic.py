@@ -8,6 +8,7 @@ responses and never open a network connection.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import functools
 import json
@@ -97,18 +98,22 @@ class FixtureCache:
 
     def store(self, vin: str, document: Mapping) -> None:
         """Write the non-blank fields (readers take a blank one as missing) through a
-        temporary file, so an interrupted write leaves no partial document."""
+        temporary file, so an interrupted write leaves no partial document. An OS
+        error is a SchemaError naming the file, as in `load`."""
         text = json.dumps({k: v for k, v in document.items() if _text(v)}, indent=2, sort_keys=True)
-        directory = Path(self.path)
-        temp = directory / f".{vin}.{os.getpid()}.{threading.get_ident()}.tmp"
+        path = Path(self.path, f"{vin}.json")
+        temp = path.with_name(f".{vin}.{os.getpid()}.{threading.get_ident()}.tmp")
         with self._lock:
-            directory.mkdir(parents=True, exist_ok=True)
             try:
+                path.parent.mkdir(parents=True, exist_ok=True)
                 temp.write_text(text, encoding="utf-8")
-                os.replace(temp, directory / f"{vin}.json")
-            except BaseException:
-                temp.unlink(missing_ok=True)
-                raise
+                os.replace(temp, path)
+            except BaseException as exc:
+                with contextlib.suppress(OSError):  # the write's own error is the one to report
+                    temp.unlink(missing_ok=True)
+                if not isinstance(exc, OSError):
+                    raise
+                raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from adasfleet import vpic
 from adasfleet.catalog import Availability, FeatureId
-from adasfleet.cli import RunConfig, build_fars_series, load_bundle, main
+from adasfleet.cli import build_fars_series, load_bundle, main
 from adasfleet.datasets import (
     AdoptionPoint,
     AdoptionSeries,
@@ -63,7 +63,7 @@ def report(number: int, name: str) -> None:
 
 @pytest.fixture(scope="module")
 def bundle():
-    return load_bundle(RunConfig())
+    return load_bundle(None)
 
 
 @pytest.fixture(scope="module")

@@ -108,6 +108,17 @@ class TestDecode:
         assert len(requests) == 1
         assert sorted(p.name for p in (data_dir / "vpic_cache").iterdir()) == sorted(f"{v}.json" for v in vins)
 
+    def test_failed_cache_write_is_one_error_line(self, runner, tmp_path, monkeypatch):
+        def service(url, body, timeout):
+            return {"Results": [{"VIN": v, "Make": "ACME", "Model Year": "2021"} for v in body["DATA"].split(";")]}
+
+        monkeypatch.setattr(vpic, "_http_transport", service)
+        (tmp_path / "vpic_cache").write_text("not a directory")
+        result = runner.invoke(main, ["--data-dir", str(tmp_path), "decode", "--vpic-mode", "record", make_vin(1)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: cannot write ") and result.stderr.count("\n") == 1
+        assert str(tmp_path / "vpic_cache") in result.stderr
+
     def test_record_mode_without_data_dir_is_usage_error(self, runner):
         result = runner.invoke(main, ["decode", "--vpic-mode", "record", make_vin(1)])
         assert result.exit_code == 2
@@ -125,6 +136,16 @@ class TestDecode:
         (row,) = json.loads(result.stdout)
         assert row["make"] == "ACME"
         assert "adaptive_cruise_control=standard" in row["features"]
+
+    def test_blank_make_document_keeps_model_and_features(self, runner, data_dir_copy):
+        FixtureCache(data_dir_copy / "vpic_cache").store(ALL_ONES, {
+            "VIN": ALL_ONES, "Make": "", "Model": "X", "Model Year": "2001", "Error Text": "1 - check digit",
+            "Adaptive Cruise Control (ACC)": "Standard",
+        })
+        result = runner.invoke(main, ["--data-dir", str(data_dir_copy), "decode", ALL_ONES, "--format", "json"])
+        assert result.exit_code == 0
+        (row,) = json.loads(result.stdout)
+        assert (row["make"], row["model"], row["features"]) == ("", "X", "adaptive_cruise_control=standard")
 
     def test_vin_with_no_decode_is_a_miss(self, runner):
         bad_check_digit = "1M8GDM9AYKP042788"
@@ -385,11 +406,18 @@ class TestEstimate:
         assert result.stdout_bytes == (Path(__file__).parent / "golden" / "estimate_2022.json").read_bytes()
 
 
-def test_config_fields_are_the_estimate_threshold_flags():
-    """A config field no flag sets, or a threshold flag the config lacks, fails here."""
+def test_config_fields_are_the_estimate_threshold_flags(runner):
+    """A config field no flag sets, a threshold flag the config lacks, or a flag
+    default that is not the field default, fails here."""
     flags = {opt for param in estimate.params for opt in param.opts} - {"--year", "--format"}
     assert flags == {"--max-lag", "--min-overlap", "--long-lag-threshold"}
-    assert {"--" + f.name.replace("_", "-") for f in dataclasses.fields(EstimatorConfig)} == flags
+    fields = dataclasses.fields(EstimatorConfig)
+    assert {"--" + f.name.replace("_", "-") for f in fields} == flags
+    defaults = {param.name: param.default for param in estimate.params}
+    assert {f.name: defaults[f.name] for f in fields} == {f.name: f.default for f in fields}
+    help_text = " ".join(runner.invoke(main, ["estimate", "--help"]).output.split())
+    for default in ("default: 25", "default: 1", "default: 8"):
+        assert default in help_text
 
 
 FEATURES = [f.value for f in FeatureId]

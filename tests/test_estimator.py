@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from adasfleet import estimator
 from adasfleet.catalog import Availability, FeatureId
 from adasfleet.datasets import (
     ActivationEntry,
@@ -373,6 +374,39 @@ class TestEstimateEquipped:
     def test_nothing_applicable_raises(self):
         with pytest.raises(InsufficientData, match="lane_centering_assist"):
             estimate_equipped(LCA, 2022, self.fleet, self.adoption, None)
+
+    def test_failed_adoption_route_falls_through_to_crash_cohort(self):
+        adoption = {**self.adoption, LCA: series(LCA, y1950=("0.10", "0.10"))}
+        with pytest.raises(NoCandidateQualifies):
+            match_lag(adoption[LCA], [s for f, s in adoption.items() if f is not LCA])
+        got = estimate_equipped(LCA, 2022, self.fleet, adoption, self.fars)
+        assert got.rate == Decimal("0.08")
+        assert got.provenance == Provenance(ProvenanceKind.FARS_LAG_TRANSFER, ESC, 18)
+
+    def test_both_routes_failing_join_their_messages_once_each(self, monkeypatch):
+        adoption = {**self.adoption, LCA: series(LCA, y1950=("0.10", "0.10"))}
+        fars = {LCA: series(LCA, y1951=("0.10", "0.10"))}
+        with pytest.raises(InsufficientData) as same:
+            estimate_equipped(LCA, 2022, self.fleet, adoption, fars)
+        assert same.value.hint == "no candidate series overlaps lane_centering_assist by at least 1 year(s) within lag 0..25"
+
+        errors = iter([NoCandidateQualifies("adoption fails"), YearNotInSeries(ESC, 1990)])
+
+        def failing_match_lag(*args, **kwargs):
+            raise next(errors)
+
+        monkeypatch.setattr(estimator, "match_lag", failing_match_lag)
+        with pytest.raises(InsufficientData) as distinct:
+            estimate_equipped(LCA, 2022, self.fleet, adoption, fars)
+        assert distinct.value.hint == "adoption fails; series for electronic_stability_control has no year 1990"
+
+    @pytest.mark.parametrize("fars", [None, {}, {LCA: AdoptionSeries(LCA, {})}, {PAEB: series(PAEB, y2021=("0.5", "0"))}])
+    def test_no_route_names_every_missing_series(self, fars):
+        with pytest.raises(InsufficientData) as excinfo:
+            estimate_equipped(LCA, 2022, self.fleet, {**self.adoption, LCA: AdoptionSeries(LCA, {})}, fars)
+        assert excinfo.value.hint == (
+            "no fleet series covering 2022, no adoption series, and no crash-cohort series"
+        )
 
     def test_uncovered_year_raises(self):
         with pytest.raises(InsufficientData):

@@ -132,7 +132,7 @@ class TestFixtureCache:
             raise OSError("disk full")
 
         monkeypatch.setattr(Path, "write_text", half_write)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(SchemaError, match="disk full"):
             cache.store(vin, document(vin))
         assert list((tmp_path / "cache").iterdir()) == []
         assert cache.load(vin) is None
