@@ -45,13 +45,6 @@ PRIORITY_FEATURES: tuple[FeatureId, ...] = (
     FeatureId.PEDESTRIAN_AUTOMATIC_EMERGENCY_BRAKING,
 )
 
-ANALOG_FEATURES: tuple[FeatureId, ...] = (
-    FeatureId.LANE_DEPARTURE_WARNING,
-    FeatureId.REAR_PARKING_SENSORS,
-    FeatureId.ELECTRONIC_STABILITY_CONTROL,
-    FeatureId.LANE_KEEP_ASSIST,
-)
-
 
 _FEATURES_BY_NAME = {f.value: f for f in FeatureId}
 

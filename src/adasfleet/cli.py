@@ -62,15 +62,11 @@ class DataBundle:
 
 
 def load_bundle(data_dir: Path | None) -> DataBundle:
-    """Load the full estimation input set with directory precedence.
-
-    Published series are isolated data points by nature, so gaps between
-    years are allowed here; strict contiguity applies to `ingest` instead.
-    """
+    """Load the full estimation input set with directory precedence."""
     catalog = load_catalog(resolve(data_dir, "catalog"))
     return DataBundle(
-        adoption=datasets.ingest_adoption_csv(resolve(data_dir, "adoption"), allow_gaps=True),
-        fleet=datasets.ingest_fleet_csv(resolve(data_dir, "fleet"), allow_gaps=True),
+        adoption=datasets.ingest_adoption_csv(resolve(data_dir, "adoption")),
+        fleet=datasets.ingest_fleet_csv(resolve(data_dir, "fleet")),
         activation=datasets.ingest_activation_csv(resolve(data_dir, "activation")),
         catalog=catalog,
         fars=datasets.ingest_fars_csv(resolve(data_dir, "fars"), catalog),
@@ -122,20 +118,13 @@ def _json_rows(rows: list[dict[str, str]]) -> str:
 
 
 class _Cli(click.Group):
-    """Ends an `AdasFleetError` from any command as one `error:` line, a
-    `hint:` line when the error carries a hint, and exit code 1."""
+    """Ends an `AdasFleetError` from any command as one `error:` line and exit code 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except AdasFleetError as exc:
             click.echo(f"error: {exc}", err=True)
-            if getattr(exc, "hint", None):
-                click.echo(
-                    "hint: supply a fleet or adoption series covering the requested year, "
-                    "or crash records for the feature, via --data-dir",
-                    err=True,
-                )
             sys.exit(1)
 
 
@@ -309,6 +298,10 @@ def ingest(data_dir: Path | None, kind, source):
         series = (datasets.ingest_adoption_csv if kind == "adoption" else datasets.ingest_fleet_csv)(source)
         points = sum(len(s.points) for s in series.values())
         click.echo(f"ok: {len(series)} {kind} series, {points} points")
+        for s in series.values():
+            gaps = datasets.missing_years(s, kind)
+            if gaps:
+                click.echo(f"note: {gaps}", err=True)
     elif kind == "activation":
         table = datasets.ingest_activation_csv(source)
         click.echo(f"ok: {len(table.entries)} activation entries")
@@ -333,8 +326,8 @@ def ingest(data_dir: Path | None, kind, source):
 @click.option("--format", "fmt", type=_FORMAT_CHOICE, default="table", show_default=True)
 def report_forecast(predicted, estimated, year, fmt):
     """Signed percentage-point error of predicted vs estimated equipped rates."""
-    predicted_set = datasets.ingest_fleet_csv(predicted, allow_gaps=True)
-    estimated_set = datasets.ingest_fleet_csv(estimated, allow_gaps=True)
+    predicted_set = datasets.ingest_fleet_csv(predicted)
+    estimated_set = datasets.ingest_fleet_csv(estimated)
     shared = [f for f in FeatureId if f in predicted_set and f in estimated_set]
     if not shared:
         raise AdasFleetError("the two files have no feature in common")

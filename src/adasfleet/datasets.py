@@ -23,7 +23,6 @@ from .errors import (
     EmptyCohort,
     FractionOutOfRange,
     IllegalYearCode,
-    NonContiguousYears,
     SchemaError,
     YearNotInSeries,
 )
@@ -45,16 +44,6 @@ def _parse_fraction(text: str, column: str) -> Decimal:
     if not value.is_finite() or value < 0 or value > 1:
         raise FractionOutOfRange(f"{column} {text!r} is outside [0, 1]")
     return value
-
-
-def _check_contiguous(feature: FeatureId, years, kind: str) -> None:
-    """Reject interior gaps, naming at most the first 10; the work is bounded by len(years), not the span."""
-    ordered = sorted(years)
-    count = ordered[-1] - ordered[0] + 1 - len(ordered)
-    if count:
-        shown = [y for a, b in zip(ordered, ordered[1:]) for y in range(a + 1, min(b, a + 11))][:10]
-        more = f" and {count - len(shown)} more" if count > len(shown) else ""
-        raise NonContiguousYears(f"{kind} series for {feature.value} is missing years {shown}{more}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +139,7 @@ class FarsIngest:
         return len(self.warnings)
 
 
-def _ingest_series(source, header, kind: str, point, series, allow_gaps: bool) -> dict:
+def _ingest_series(source, header, point, series) -> dict:
     """The one body of the series readers: rows of feature, year and fractions
     in `header` order; one `series(feature, points)` per feature present, years
     sorted, each point `point(*fractions)`. Violations carry row numbers."""
@@ -165,20 +154,29 @@ def _ingest_series(source, header, kind: str, point, series, allow_gaps: bool) -
             if year in points:
                 raise DuplicateKey(f"duplicate year {year} for {feature.value}")
             points[year] = value
-    if not allow_gaps:
-        for feature, points in by_feature.items():
-            _check_contiguous(feature, points, kind)
     return {f: series(f, dict(sorted(pts.items()))) for f, pts in by_feature.items()}
 
 
-def ingest_adoption_csv(source, allow_gaps: bool = False) -> dict[FeatureId, AdoptionSeries]:
+def ingest_adoption_csv(source) -> dict[FeatureId, AdoptionSeries]:
     """One adoption series per feature present; violations carry row numbers."""
-    return _ingest_series(source, ADOPTION_HEADER, "adoption", AdoptionPoint, AdoptionSeries, allow_gaps)
+    return _ingest_series(source, ADOPTION_HEADER, AdoptionPoint, AdoptionSeries)
 
 
-def ingest_fleet_csv(source, allow_gaps: bool = False) -> dict[FeatureId, FleetSeries]:
+def ingest_fleet_csv(source) -> dict[FeatureId, FleetSeries]:
     """One fleet equipped series per feature present."""
-    return _ingest_series(source, FLEET_HEADER, "fleet", lambda frac: frac, FleetSeries, allow_gaps)
+    return _ingest_series(source, FLEET_HEADER, lambda frac: frac, FleetSeries)
+
+
+def missing_years(series: AdoptionSeries | FleetSeries, kind: str) -> str:
+    """The interior years a series skips, worded with at most the first 10 listed,
+    or "" when it skips none; the work is bounded by the points, not the span."""
+    ordered = sorted(series.points)
+    count = ordered[-1] - ordered[0] + 1 - len(ordered)
+    if not count:
+        return ""
+    shown = [y for a, b in zip(ordered, ordered[1:]) for y in range(a + 1, min(b, a + 11))][:10]
+    more = f" and {count - len(shown)} more" if count > len(shown) else ""
+    return f"{kind} series for {series.feature.value} is missing years {shown}{more}"
 
 
 def ingest_activation_csv(source) -> ActivationTable:

@@ -56,10 +56,6 @@ class FractionOutOfRange(AdasFleetError):
     """A fraction falls outside [0, 1] or a fraction sum exceeds 1."""
 
 
-class NonContiguousYears(AdasFleetError):
-    """A series has missing interior years."""
-
-
 class EmptyCohort(AdasFleetError):
     """No records match the requested cohort."""
 

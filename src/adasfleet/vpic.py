@@ -81,7 +81,8 @@ class FixtureCache:
 
         The file is opened once. A missing file, a missing or non-directory
         cache path and a symlink loop are misses, as `Path.exists()` treats
-        them; any other OS error is a SchemaError naming the file.
+        them. Any other OS error is a SchemaError, and a document that is not
+        a printable JSON object a MalformedResponse, each naming the file.
         """
         path = os.path.join(self.path, vin + ".json")
         try:
@@ -92,9 +93,14 @@ class FixtureCache:
                 return None
             raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from None
         try:
-            return json.loads(data.decode("utf-8"))
-        except ValueError as exc:
-            raise MalformedResponse(f"cached document for {vin} is not valid JSON: {exc}") from None
+            document = json.loads(data.decode("utf-8"))
+            if b"\\u" in data:  # an escape can spell a lone surrogate, which no output encoding accepts
+                json.dumps(document, ensure_ascii=False).encode("utf-8")
+        except (ValueError, RecursionError) as exc:
+            raise MalformedResponse(f"cached document {path} cannot be read as JSON: {exc}") from None
+        if not isinstance(document, dict):
+            raise MalformedResponse(f"cached document {path} is not a JSON object")
+        return document
 
     def store(self, vin: str, document: Mapping) -> None:
         """Write the non-blank fields (readers take a blank one as missing) through a

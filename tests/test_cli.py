@@ -18,7 +18,7 @@ import hypothesis.strategies as st
 import adasfleet
 from adasfleet import vin as vin_module, vpic
 from adasfleet.catalog import PRIORITY_FEATURES, FeatureId
-from adasfleet.cli import _json_rows, decode, estimate, main
+from adasfleet.cli import DATA_FILES, _json_rows, decode, estimate, main
 from adasfleet.datasets import ActivationSource, bundled_data_dir
 from adasfleet.estimator import EstimatorConfig
 from adasfleet.vin import compute_check_digit, encode_model_year
@@ -278,13 +278,14 @@ class TestEstimate:
         assert result.exit_code == 1
         assert "adaptive_cruise_control" in result.stderr
 
-    def test_insufficient_data_prints_error_then_hint(self, runner):
+    def test_insufficient_data_is_one_error_line(self, runner):
         result = runner.invoke(main, ["estimate", "--year", "1900"])
         assert result.exit_code == 1
         assert result.stdout == ""
-        error, hint = result.stderr.splitlines()
-        assert error.startswith("error: cannot estimate adaptive_cruise_control for 1900: ")
-        assert hint.startswith("hint: supply a fleet or adoption series covering the requested year")
+        assert result.stderr.splitlines() == [
+            "error: cannot estimate adaptive_cruise_control for 1900: no candidate series overlaps "
+            "adaptive_cruise_control by at least 1 year(s) within lag 0..25"
+        ]
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--max-lag", "1", "within lag 0..1"),
@@ -449,7 +450,8 @@ def data_dirs(draw) -> tuple[int, dict[str, str]]:
         for feature in FEATURES:
             if draw(st.integers(0, 3)):  # about three features in four
                 start, stop = near - draw(st.integers(0, 12)), near + draw(st.integers(-3, 2))
-                rows += [[feature, str(y), *map(draw, value_cells)] for y in range(start, max(stop, start) + 1)]
+                step = draw(sometimes(st.just(1), st.integers(2, 5), 4))  # published series skip years
+                rows += [[feature, str(y), *map(draw, value_cells)] for y in range(start, max(stop, start) + 1, step)]
         return rows
 
     activation = []
@@ -492,9 +494,10 @@ def overran(signum, frame):
        thresholds=st.tuples(THRESHOLD, THRESHOLD, THRESHOLD))
 def test_estimate_on_generated_data_ends_in_one_error_line_or_a_table(data_dir, output_format, thresholds):
     """Any data dir and any threshold flags end, within the deadline, in exit 0
-    with a six-row table, or in exit 1 with one `error:` line and an optional
-    `hint:` line; never in a traceback. A threshold below its flag's least
-    value is a usage error, exit 2, whatever the data.
+    with a six-row table, or in exit 1 with one `error:` line; never in a
+    traceback. A threshold below its flag's least value is a usage error,
+    exit 2, whatever the data. Whenever `estimate` exits 0, `ingest` accepts
+    each file it read.
 
     A timer signal interrupts a run at the deadline, so a loop in Python code
     fails the example instead of hanging the suite.
@@ -511,6 +514,10 @@ def test_estimate_on_generated_data_ends_in_one_error_line_or_a_table(data_dir, 
             for name, text in files.items():
                 (Path(tmp) / name).write_text(text, encoding="utf-8")
             result = CliRunner().invoke(main, ["--data-dir", tmp, *args])
+            ingested = {
+                kind: CliRunner().invoke(main, ["--data-dir", tmp, "ingest", "--kind", kind, str(Path(tmp) / name)])
+                for kind, name in DATA_FILES.items()
+            } if result.exit_code == 0 else {}
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -521,13 +528,82 @@ def test_estimate_on_generated_data_ends_in_one_error_line_or_a_table(data_dir, 
         assert result.stdout == "" and "Invalid value for '--" in result.stderr
     elif result.exit_code == 0:
         assert result.stderr == "" and result.stdout
+        assert {kind: r.exit_code for kind, r in ingested.items()} == dict.fromkeys(DATA_FILES, 0), ingested
         if output_format == "json":
             assert len(json.loads(result.stdout)["estimates"]) == 6
     else:
         assert result.exit_code == 1 and result.stdout == ""
         lines = result.stderr.splitlines()
-        assert lines[0].startswith("error: ") and len(lines) in (1, 2), lines
-        assert len(lines) == 1 or lines[1].startswith("hint: "), lines
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# Any JSON value, as UTF-8 text: every type, nested, strings with lone surrogates,
+# floats that dump as the NaN and Infinity literals, and integers past int()'s digit limit.
+JSON_TEXTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(st.characters(exclude_categories=())),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+).map(lambda value: json.dumps(value).encode()) | st.sampled_from([b"9" * 5000, b"9" * 4000, b"1e400", b"-0"])
+CACHED_FIELDS = ["Make", "Model", "Error Text", *list(vpic.load_variable_map())[:3]]
+
+
+@st.composite
+def cached_documents(draw, vin: str) -> bytes:
+    """A cached document for `vin`: an object shaped like a decode whose fields
+    hold any JSON value, any JSON value at all, nesting far past the parser's
+    depth, or bytes that are mostly not UTF-8."""
+    shape = draw(st.sampled_from(["decode", "value", "deep", "bytes"]))
+    if shape == "value":
+        return draw(JSON_TEXTS)
+    if shape == "deep":
+        depth = draw(st.sampled_from([10, 1_000, 100_000]))
+        return b"[" * depth + b"]" * depth
+    if shape == "bytes":
+        return draw(st.binary(max_size=40))
+    year = st.sampled_from([b'"2021"', b"2021", b'" 2017 "', b'"1999"'])
+    fields = {"VIN": draw(st.sampled_from([json.dumps(vin).encode(), json.dumps(vin.lower()).encode()]) | JSON_TEXTS),
+              "Model Year": draw(sometimes(year, JSON_TEXTS, 3))}
+    for name in draw(st.lists(st.sampled_from(CACHED_FIELDS), max_size=4, unique=True)):
+        fields[name] = draw(st.sampled_from([b'"Standard"', b'"optional "', b'""', b'"\xff\xfe"']) | JSON_TEXTS)
+    return b"{" + b", ".join(json.dumps(name).encode() + b": " + value for name, value in fields.items()) + b"}"
+
+
+@st.composite
+def vpic_caches(draw) -> dict[str, bytes | None]:
+    """One to three VINs, each with a cached document or none."""
+    vins = [make_vin(i) for i in range(draw(st.integers(1, 3)))]
+    return {vin: draw(st.none() | cached_documents(vin)) for vin in vins}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cache=vpic_caches(), output_format=st.sampled_from(["table", "csv", "json"]))
+def test_decode_on_any_cached_document_ends_in_one_error_line_or_a_row_per_vin(cache, output_format):
+    """Whatever the cache holds, `decode` ends within the deadline in exit 0
+    with one row per VIN, or in exit 1 with one `error:` line; never in a
+    traceback. A timer signal interrupts a run at the deadline, as above."""
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "vpic_cache").mkdir()
+            for vin, content in cache.items():
+                if content is not None:
+                    (Path(tmp) / "vpic_cache" / f"{vin}.json").write_bytes(content)
+            result = CliRunner().invoke(main, ["--data-dir", tmp, "decode", *cache, "--format", output_format])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    if result.exit_code == 0:
+        assert result.stderr == ""
+        if output_format == "json":
+            assert [row["vin"] for row in json.loads(result.stdout)] == list(cache)
+        else:
+            assert result.stdout.startswith("vin")
+    else:
+        assert result.exit_code == 1 and result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestIngest:
@@ -536,8 +612,6 @@ class TestIngest:
             ("adoption", "adoption.csv"), ("fleet", "fleet.csv"), ("activation", "activation.csv"),
             ("catalog", "catalog.csv"), ("fars", "fars_vehicles.csv"),
         ]:
-            if kind in ("adoption", "fleet"):
-                continue  # bundled series have intentional gap years; covered below
             result = runner.invoke(main, ["ingest", "--kind", kind, str(bundled_dir / name)])
             assert result.exit_code == 0, (kind, result.output)
             assert result.stdout.startswith("ok:")
@@ -547,10 +621,14 @@ class TestIngest:
         assert result.exit_code == 0
         assert result.stdout == "ok: 92 catalog records\n"
 
-    def test_bundled_series_have_gaps_and_strict_ingest_says_so(self, runner, bundled_dir):
-        result = runner.invoke(main, ["ingest", "--kind", "fleet", str(bundled_dir / "fleet.csv")])
-        assert result.exit_code == 1
-        assert "missing years" in result.stderr
+    def test_bundled_series_have_gaps_and_ingest_notes_them(self, runner, bundled_dir):
+        """Published series are isolated points: the bundled electronic stability
+        control series has two, so `ingest` reads it, as `estimate` does, and notes the gap."""
+        for kind, missing in [("adoption", "[2004, 2005, 2006, 2007]"), ("fleet", "[2005, 2006, 2007, 2008]")]:
+            result = runner.invoke(main, ["ingest", "--kind", kind, str(bundled_dir / f"{kind}.csv")])
+            assert result.exit_code == 0
+            assert result.stdout == f"ok: 5 {kind} series, 6 points\n"
+            assert result.stderr == f"note: {kind} series for electronic_stability_control is missing years {missing}\n"
 
     def test_contiguous_series_accepted(self, runner, tmp_path):
         path = tmp_path / "fleet.csv"

@@ -3,10 +3,12 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 import hypothesis.strategies as st
 
 from adasfleet.catalog import Availability, Catalog, FeatureId, load_catalog
+from adasfleet.cli import main
 from adasfleet.datasets import (
     ActivationSource,
     AdoptionPoint,
@@ -28,7 +30,6 @@ from adasfleet.errors import (
     DuplicateKey,
     EmptyCohort,
     FractionOutOfRange,
-    NonContiguousYears,
     SchemaError,
 )
 from adasfleet.vin import compute_check_digit
@@ -66,16 +67,14 @@ class TestAdoptionIngestion:
         with pytest.raises(FractionOutOfRange):
             ingest_adoption_csv(path)
 
-    def test_gap_years_rejected_by_default(self, tmp_path):
+    def test_gap_years_are_read(self, tmp_path):
         path = write(
             tmp_path, "a.csv",
             "feature,model_year,std_frac,opt_frac\n"
             "electronic_stability_control,2003,0.18,0.13\n"
             "electronic_stability_control,2008,0.61,0.14\n",
         )
-        with pytest.raises(NonContiguousYears):
-            ingest_adoption_csv(path)
-        series = ingest_adoption_csv(path, allow_gaps=True)
+        series = ingest_adoption_csv(path)
         assert sorted(series[FeatureId.ELECTRONIC_STABILITY_CONTROL].points) == [2003, 2008]
 
     def test_huge_year_gap_is_counted_not_listed(self, tmp_path):
@@ -85,9 +84,13 @@ class TestAdoptionIngestion:
             "adaptive_cruise_control,1,0.10,0.40\n"
             f"adaptive_cruise_control,{10**20},0.15,0.55\n",
         )
+        result = CliRunner().invoke(main, ["ingest", "--kind", "adoption", str(path)])
+        assert result.exit_code == 0 and result.stdout == "ok: 1 adoption series, 2 points\n"
         missing = 10**20 - 2
-        with pytest.raises(NonContiguousYears, match=rf"missing years \[2, 3, .*, 11\] and {missing - 10} more$"):
-            ingest_adoption_csv(path)
+        assert result.stderr == (
+            "note: adoption series for adaptive_cruise_control is missing years "
+            f"[2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and {missing - 10} more\n"
+        )
 
     def test_contiguous_years_accepted(self, tmp_path):
         path = write(
@@ -138,16 +141,15 @@ class TestFleetIngestion:
         with pytest.raises(FractionOutOfRange):
             ingest_fleet_csv(path)
 
-    def test_gap_years_rejected_by_default(self, tmp_path):
+    def test_gap_years_are_read(self, tmp_path):
         path = write(
             tmp_path, "f.csv",
             "feature,calendar_year,equipped_frac\n"
             "electronic_stability_control,2004,0.08\n"
             "electronic_stability_control,2009,0.25\n",
         )
-        with pytest.raises(NonContiguousYears):
-            ingest_fleet_csv(path)
-        assert len(ingest_fleet_csv(path, allow_gaps=True)) == 1
+        series = ingest_fleet_csv(path)
+        assert series[FeatureId.ELECTRONIC_STABILITY_CONTROL].points == {2004: Decimal("0.08"), 2009: Decimal("0.25")}
 
 
 years_strategy = st.integers(min_value=1990, max_value=2030)

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 import time
 from fractions import Fraction
@@ -206,15 +207,22 @@ class TestFixtureCache:
         replayed = cache.load(vin)
         assert self._outcome(replayed, parse_vin(vin)) == self._outcome(raw) == self._outcome(raw, parse_vin(vin))
 
-    @pytest.mark.parametrize("content", [
-        b'{"VIN": "\xff"}',
-        b'\xef\xbb\xbf{"VIN": "x"}',
-        b'{"VIN": ',
-    ], ids=["invalid_utf8", "utf8_bom", "invalid_json"])
-    def test_undecodable_document_is_malformed(self, tmp_path, content):
+    @pytest.mark.parametrize("content, message", [
+        (b'{"VIN": "\xff"}', "cannot be read as JSON: 'utf-8' codec can't decode byte 0xff"),
+        (b'\xef\xbb\xbf{"VIN": "x"}', "cannot be read as JSON: Unexpected UTF-8 BOM"),
+        (b'{"VIN": ', "cannot be read as JSON: Expecting value"),
+        (b"[]", "is not a JSON object"),
+        (b'"x"', "is not a JSON object"),
+        (b"null", "is not a JSON object"),
+        (b"[" * 100_000 + b"]" * 100_000, "cannot be read as JSON: maximum recursion depth exceeded"),
+        (b'{"VIN": "x", "Make": "\\ud800"}', "cannot be read as JSON: .* surrogates not allowed"),
+    ], ids=["invalid_utf8", "utf8_bom", "invalid_json", "array", "string", "null", "nested_100000_deep",
+            "lone_surrogate"])
+    def test_undecodable_document_is_malformed(self, tmp_path, content, message):
         vin = make_vin(0)
-        (tmp_path / f"{vin}.json").write_bytes(content)
-        with pytest.raises(MalformedResponse, match=f"cached document for {vin} is not valid JSON"):
+        path = tmp_path / f"{vin}.json"
+        path.write_bytes(content)
+        with pytest.raises(MalformedResponse, match=f"^cached document {re.escape(str(path))} {message}"):
             FixtureCache(tmp_path).load(vin)
 
 
