@@ -51,56 +51,4 @@ from .estimator import (
     transfer_fleet_rate,
 )
 from .vin import Vin, compute_check_digit, decode_model_year, encode_model_year, parse_vin, parse_vin_lenient
-from .vpic import CacheMode, FixtureCache, RequestLimits, batch_decode, normalize_vpic_record
-
-__all__ = [
-    "__version__",
-    "ActivationEntry",
-    "ActivationSource",
-    "ActivationTable",
-    "AdoptionPoint",
-    "AdoptionSeries",
-    "Availability",
-    "CacheMode",
-    "Catalog",
-    "CautionFlag",
-    "CautionKind",
-    "DEFAULT_MANDATES",
-    "EstimatorConfig",
-    "FarsIngest",
-    "FeatureId",
-    "FixtureCache",
-    "FleetSeries",
-    "FleetTransfer",
-    "LagMatch",
-    "MandateInfo",
-    "PenetrationEstimate",
-    "PRIORITY_FEATURES",
-    "Provenance",
-    "ProvenanceKind",
-    "RequestLimits",
-    "TrimAvailabilityRecord",
-    "VehicleRecord",
-    "Vin",
-    "batch_decode",
-    "compose_activated",
-    "compute_check_digit",
-    "decode_model_year",
-    "encode_model_year",
-    "estimate_equipped",
-    "estimate_table",
-    "fars_adoption_series",
-    "fars_availability_fraction",
-    "fleet_any_feature_share",
-    "forecast_error",
-    "ingest_activation_csv",
-    "ingest_adoption_csv",
-    "ingest_fars_csv",
-    "ingest_fleet_csv",
-    "load_catalog",
-    "match_lag",
-    "normalize_vpic_record",
-    "parse_vin",
-    "parse_vin_lenient",
-    "transfer_fleet_rate",
-]
+from .vpic import CacheMode, FixtureCache, batch_decode, normalize_vpic_record

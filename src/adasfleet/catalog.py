@@ -134,12 +134,8 @@ class Catalog:
 
     _index: dict[tuple[str, str, int], dict[FeatureId, Availability]] = field(repr=False, hash=False)
 
-    def __init__(self, records: Iterable[TrimAvailabilityRecord]):
-        self._fill((r.make, r.model, r.model_year, r.feature, r.availability) for r in records)
-
-    def _fill(self, rows) -> None:
-        """Index (make, model, model_year, feature, availability) rows; the one
-        builder behind `Catalog(records=...)` and `load_catalog`."""
+    def __init__(self, rows: Iterable[tuple[str, str, int, FeatureId, Availability]]):
+        """Index (make, model, model_year, feature, availability) rows; a repeated (key, feature) is a DuplicateKey."""
         index = {}
         names = {}  # make or model text as given -> its normalized, interned form
         for make, model, model_year, feature, availability in rows:
@@ -269,7 +265,5 @@ def load_catalog(source) -> Catalog:
                 raise SchemaError(f"model_year {model_year} predates 17-character VINs")
             yield make, model, model_year, feature_from_name(feature_text), availability_from_name(avail_text)
 
-    catalog = Catalog.__new__(Catalog)
     with Table(source, CATALOG_HEADER) as table:
-        catalog._fill(rows(table))
-    return catalog
+        return Catalog(rows(table))

@@ -281,22 +281,6 @@ def fars_adoption_series(records: list[VehicleRecord], feature: FeatureId) -> Ad
     return AdoptionSeries(feature, points)
 
 
-def write_adoption_csv(series_set: dict[FeatureId, AdoptionSeries], path) -> None:
-    lines = [",".join(ADOPTION_HEADER)]
-    for feature in series_set:
-        for year, pt in sorted(series_set[feature].points.items()):
-            lines.append(f"{feature.value},{year},{pt.std},{pt.opt}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_fleet_csv(series_set: dict[FeatureId, FleetSeries], path) -> None:
-    lines = [",".join(FLEET_HEADER)]
-    for feature in series_set:
-        for year, frac in sorted(series_set[feature].points.items()):
-            lines.append(f"{feature.value},{year},{frac}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def bundled_data_dir() -> Path:
     """Directory with the data files shipped in the package."""
     return Path(__file__).parent / "data" / "default"

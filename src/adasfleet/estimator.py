@@ -32,11 +32,10 @@ class CautionFlag:
     """A reason the estimate deserves scepticism, with the quantity that tripped it."""
 
     kind: CautionKind
-    quantity: float
+    quantity: int | Fraction
 
     def render(self) -> str:
-        q = int(self.quantity) if float(self.quantity).is_integer() else round(self.quantity, 2)
-        return f"{self.kind.value}({q})"
+        return f"{self.kind.value}({_round_half_up_pct(self.quantity) / 100:.15g})"  # half-up to two places
 
 
 # Percentage points of standard-vs-optional mix difference tolerated before
@@ -101,6 +100,11 @@ def _round_half_up_pct(fraction) -> int:
     pct = Fraction(str(fraction) if isinstance(fraction, float) else fraction) * 100
     whole = int(abs(pct) + Fraction(1, 2))
     return whole if pct >= 0 else -whole
+
+
+def _as_fraction(fraction) -> Fraction:
+    """A Fraction as is; a Decimal to 20 places, which hold every published fraction and keep 1e-999999999 cheap."""
+    return Fraction(fraction.quantize(Decimal("1e-20")) if isinstance(fraction, Decimal) else fraction)
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,8 @@ def match_lag(
         cautions.add(CautionFlag(CautionKind.LONG_LAG, lag))
     if len(overlap) < SMALL_OVERLAP_THRESHOLD:
         cautions.add(CautionFlag(CautionKind.SMALL_OVERLAP, len(overlap)))
-    divergence = max(
-        abs(float(target.points[y].opt) - float(candidate.points[y - lag].opt)) * 100 for y in overlap
+    divergence = max(  # exact: a float difference would carry binary noise into the rendered quantity
+        abs(_as_fraction(target.points[y].opt) - _as_fraction(candidate.points[y - lag].opt)) * 100 for y in overlap
     )
     if divergence > OPTIONAL_DIVERGENCE_PP:
         cautions.add(CautionFlag(CautionKind.OPTIONAL_SHARE_DIVERGENCE, divergence))

@@ -34,9 +34,6 @@ YEAR_CODES = "ABCDEFGHJKLMNPRSTVWXY123456789"
 _FIRST_CYCLE_BASE = 1980
 _CYCLE = len(YEAR_CODES)
 
-MIN_MODEL_YEAR = _FIRST_CYCLE_BASE
-MAX_MODEL_YEAR = _FIRST_CYCLE_BASE + 2 * _CYCLE - 1
-
 
 @dataclass(frozen=True, slots=True)
 class Vin:
@@ -120,6 +117,6 @@ def decode_model_year(year_code: str, position7: str) -> int:
 
 def encode_model_year(year: int) -> str:
     """Position-10 code for a model year in [1980, 2039]."""
-    if not MIN_MODEL_YEAR <= year <= MAX_MODEL_YEAR:
+    if not _FIRST_CYCLE_BASE <= year < _FIRST_CYCLE_BASE + 2 * _CYCLE:
         raise IllegalYearCode(str(year))
     return YEAR_CODES[(year - _FIRST_CYCLE_BASE) % _CYCLE]

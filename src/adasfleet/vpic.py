@@ -28,6 +28,12 @@ from .vin import Vin, parse_vin, parse_vin_lenient
 
 DEFAULT_BASE_URL = "https://vpic.nhtsa.dot.gov/api/vehicles/DecodeVINValuesBatch/"
 
+BATCH_SIZE = 50  # VINs per request: the service's maximum
+MAX_IN_FLIGHT = 2  # requests at once
+ATTEMPTS = 3  # per request; only transport (OS-level) errors are retried
+RETRY_DELAY_S = 1.0  # before the first retry, doubled before each later one
+TIMEOUT_S = 30.0  # per request
+
 _VIN_KEYS = ("VIN", "Vin", "vin")
 _MODEL_YEAR_KEYS = ("Model Year", "ModelYear")
 _ERROR_KEYS = ("Error Text", "ErrorText")
@@ -94,10 +100,10 @@ class FixtureCache:
             raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from None
         try:
             document = json.loads(data.decode("utf-8"))
-            if b"\\u" in data:  # an escape can spell a lone surrogate, which no output encoding accepts
-                json.dumps(document, ensure_ascii=False).encode("utf-8")
         except (ValueError, RecursionError) as exc:
             raise MalformedResponse(f"cached document {path} cannot be read as JSON: {exc}") from None
+        if b"\\u" in data:  # only an escape can spell a lone surrogate
+            _check_printable(document, f"cached document {path}")
         if not isinstance(document, dict):
             raise MalformedResponse(f"cached document {path} is not a JSON object")
         return document
@@ -122,13 +128,12 @@ class FixtureCache:
                 raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-@dataclass(frozen=True)
-class RequestLimits:
-    batch_size: int = 50
-    max_in_flight: int = 2
-    attempts: int = 3
-    base_delay: float = 1.0
-    timeout: float = 30.0
+def _check_printable(document, what: str) -> None:
+    """A MalformedResponse naming `what` unless the document encodes as UTF-8, as a lone surrogate does not."""
+    try:
+        json.dumps(document, ensure_ascii=False).encode("utf-8")
+    except (ValueError, RecursionError) as exc:
+        raise MalformedResponse(f"{what} cannot be read as JSON: {exc}") from None
 
 
 def _text(value) -> str:
@@ -194,13 +199,6 @@ def _miss_record(vin: str, reason: str) -> VehicleRecord:
     return VehicleRecord(vin=vin, crash_year=None, model_year=None, feature_flags={}, error_text=reason)
 
 
-def split_batches(items: list, batch_size: int) -> list[list]:
-    """Chunk a list preserving order; the last chunk may be short."""
-    if batch_size < 1:
-        raise ValueError("batch size must be at least 1")
-    return [items[i : i + batch_size] for i in range(0, len(items), batch_size)]
-
-
 def _http_transport(url: str, body: Mapping[str, str], timeout: float) -> dict:
     """POST form data and return the parsed JSON body. Live path only."""
     import requests
@@ -210,26 +208,24 @@ def _http_transport(url: str, body: Mapping[str, str], timeout: float) -> dict:
     return response.json()
 
 
-def _fetch_batch(
-    batch: list[Vin], cache: FixtureCache, base_url: str, limits: RequestLimits, transport: Callable
-) -> list[VehicleRecord]:
+def _fetch_batch(batch: list[Vin], cache: FixtureCache, base_url: str, transport: Callable) -> list[VehicleRecord]:
     """Fetch one batch, retrying only transport (OS-level) errors.
 
     In record mode the batch's documents are cached as soon as all of them
-    normalize, so a later batch's failure cannot lose them.
+    print and normalize, so a later batch's failure cannot lose them.
     """
     body = {"DATA": ";".join(vin.raw for vin in batch), "format": "json"}
     last_error = None
-    for attempt in range(limits.attempts):
+    for attempt in range(ATTEMPTS):
         if attempt:
-            time.sleep(limits.base_delay * 2 ** (attempt - 1))
+            time.sleep(RETRY_DELAY_S * 2 ** (attempt - 1))
         try:
-            payload = transport(base_url, body, limits.timeout)
+            payload = transport(base_url, body, TIMEOUT_S)
             break
         except OSError as exc:
             last_error = exc
     else:
-        raise NetworkError(f"batch of {len(batch)} VINs failed after {limits.attempts} attempts: {last_error}")
+        raise NetworkError(f"batch of {len(batch)} VINs failed after {ATTEMPTS} attempts: {last_error}")
 
     results = payload.get("Results") if isinstance(payload, dict) else None
     if not isinstance(results, list):
@@ -238,6 +234,7 @@ def _fetch_batch(
     for raw in results:
         echoed = _first(raw, _VIN_KEYS) if isinstance(raw, Mapping) else None
         if echoed:
+            _check_printable(raw, f"decode response for {echoed!r}")
             by_vin[echoed.upper()] = raw
     records = [
         normalize_vpic_record(by_vin[vin.raw], vin) if vin.raw in by_vin
@@ -254,7 +251,7 @@ def _fetch_batch(
 def batch_decode(
     vins: list[str | Vin],
     cache: FixtureCache,
-    limits: RequestLimits = RequestLimits(),
+    *,
     base_url: str = DEFAULT_BASE_URL,
     transport: Callable | None = None,
 ) -> list[VehicleRecord]:
@@ -283,17 +280,17 @@ def batch_decode(
         # Load the variable map here: two workers that both miss the cache would both read the file.
         _bundled_variable_map()
         transport = _http_transport if transport is None else transport
-        batches = split_batches(to_fetch, limits.batch_size)
+        batches = [to_fetch[i : i + BATCH_SIZE] for i in range(0, len(to_fetch), BATCH_SIZE)]
 
         def run(batch_indices):
             try:
-                return _fetch_batch([vins[i] for i in batch_indices], cache, base_url, limits, transport)
+                return _fetch_batch([vins[i] for i in batch_indices], cache, base_url, transport)
             except NetworkError:
                 if cache.mode is CacheMode.LIVE_ONLY:
                     raise
                 return [_miss_record(vins[i].raw, "network error") for i in batch_indices]
 
-        with ThreadPoolExecutor(max_workers=max(1, limits.max_in_flight)) as pool:
+        with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
             for batch_indices, batch_records in zip(batches, pool.map(run, batches)):
                 for i, record in zip(batch_indices, batch_records):
                     records[i] = record

@@ -17,6 +17,12 @@ def no_network(monkeypatch):
     monkeypatch.setattr(vpic, "_http_transport", blocked)
 
 
+@pytest.fixture(autouse=True)
+def no_retry_delay(monkeypatch):
+    """Retries follow at once, so a test of the retry path does not sleep."""
+    monkeypatch.setattr(vpic, "RETRY_DELAY_S", 0.0)
+
+
 @pytest.fixture()
 def bundled_dir() -> Path:
     return bundled_data_dir()

@@ -5,6 +5,7 @@ the package internals.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 # 49 CFR 565 transliteration table, written out in full.
 CHAR_VALUES = {
@@ -135,3 +136,21 @@ def oracle_half_up_pct(value):
     if pct - whole >= Fraction(1, 2):
         whole += 1
     return whole if exact >= 0 else -whole
+
+
+def write_adoption_csv(series_set, path) -> None:
+    """An adoption file with one row per (feature, model year) of {FeatureId: AdoptionSeries}."""
+    lines = ["feature,model_year,std_frac,opt_frac"]
+    for feature in series_set:
+        for year, pt in sorted(series_set[feature].points.items()):
+            lines.append(f"{feature.value},{year},{pt.std},{pt.opt}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_fleet_csv(series_set, path) -> None:
+    """A fleet file with one row per (feature, calendar year) of {FeatureId: FleetSeries}."""
+    lines = ["feature,calendar_year,equipped_frac"]
+    for feature in series_set:
+        for year, frac in sorted(series_set[feature].points.items()):
+            lines.append(f"{feature.value},{year},{frac}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

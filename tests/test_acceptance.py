@@ -31,7 +31,7 @@ from adasfleet.estimator import (
     transfer_fleet_rate,
 )
 from adasfleet.vin import LEGAL_CHARS, YEAR_CODES, decode_model_year, encode_model_year, parse_vin
-from adasfleet.vpic import CacheMode, FixtureCache, RequestLimits, batch_decode
+from adasfleet.vpic import CacheMode, FixtureCache, batch_decode
 
 from oracles import brute_force_match
 
@@ -227,8 +227,7 @@ def test_criterion_8_offline_guarantee(tmp_path):
     cache = FixtureCache(tmp_path / "cache", CacheMode.OFFLINE)
     vin = "11111111111111111"
     cache.store(vin, {"VIN": vin, "Make": "ACME", "Model": "ALPHA", "Model Year": "2001"})
-    records = batch_decode([vin, "00000000000000000"], cache, RequestLimits(base_delay=0.0),
-                           transport=counting_transport)
+    records = batch_decode([vin, "00000000000000000"], cache, transport=counting_transport)
     assert calls == []
     assert records[0].make == "ACME"
     assert records[1].error_text == "cache miss"

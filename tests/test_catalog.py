@@ -12,7 +12,6 @@ from adasfleet.catalog import (
     FeatureId,
     MandateInfo,
     PRIORITY_FEATURES,
-    TrimAvailabilityRecord,
     load_catalog,
 )
 from adasfleet.errors import BadEnumValue, DuplicateKey, SchemaError
@@ -115,7 +114,7 @@ class TestLookup:
         feature=st.sampled_from(list(FeatureId)),
     )
     def test_never_unknown_at_or_above_floor(self, make, year, feature):
-        catalog = Catalog(records=())
+        catalog = Catalog(())
         assert catalog.lookup_availability(make, "m", year, feature) is not Availability.UNKNOWN
 
 
@@ -137,9 +136,9 @@ def test_mandate_ordering_enforced():
 
 
 def test_catalog_rejects_duplicates_in_records():
-    rec = TrimAvailabilityRecord("a", "b", 2020, FeatureId.LANE_CENTERING_ASSIST, Availability.STANDARD)
+    row = ("a", "b", 2020, FeatureId.LANE_CENTERING_ASSIST, Availability.STANDARD)
     with pytest.raises(DuplicateKey) as info:
-        Catalog(records=(rec, rec))
+        Catalog((row, row))
     assert str(info.value) == "duplicate catalog entry for a/b/2020/lane_centering_assist"
 
 
@@ -173,8 +172,8 @@ class TestInvariance:
         return io.StringIO("\n".join([HEADER, *(",".join(map(str, row)) for row in rows)]) + "\n")
 
     @staticmethod
-    def records(rows):
-        return tuple(TrimAvailabilityRecord(m, mo, y, FeatureId(f), Availability(a)) for m, mo, y, f, a in rows)
+    def typed(rows):
+        return tuple((m, mo, y, FeatureId(f), Availability(a)) for m, mo, y, f, a in rows)
 
     @given(rows, st.randoms())
     def test_lookups_ignore_order_case_padding_and_interning(self, rows, rng):
@@ -186,8 +185,8 @@ class TestInvariance:
             load_catalog(self.csv(rows)),
             load_catalog(self.csv(shuffled)),
             load_catalog(self.csv(respelled)),
-            Catalog(records=self.records(respelled)),
-            Catalog(records=self.records(runtime)),
+            Catalog(self.typed(respelled)),
+            Catalog(self.typed(runtime)),
         ]
         for make in self.MAKES:
             for model in self.MODELS:
@@ -211,7 +210,7 @@ class TestInvariance:
         with pytest.raises(DuplicateKey):
             load_catalog(self.csv(with_twin))
         with pytest.raises(DuplicateKey):
-            Catalog(records=self.records(with_twin))
+            Catalog(self.typed(with_twin))
 
 
 class TestRecordsView:
@@ -221,7 +220,7 @@ class TestRecordsView:
     @staticmethod
     def assert_round_trips(catalog, data_rows):
         assert len(catalog) == len(catalog.records) == data_rows
-        rebuilt = Catalog(records=catalog.records)
+        rebuilt = Catalog((r.make, r.model, r.model_year, r.feature, r.availability) for r in catalog.records)
         probes = [(rec.make, rec.model, rec.model_year, rec.feature) for rec in catalog.records]
         for year in (DEFAULT_COVERAGE_FLOOR - 1, DEFAULT_COVERAGE_FLOOR):
             probes += [("nobody", "none", year, feature) for feature in FeatureId]

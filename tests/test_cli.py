@@ -119,6 +119,25 @@ class TestDecode:
         assert result.stderr.startswith("error: cannot write ") and result.stderr.count("\n") == 1
         assert str(tmp_path / "vpic_cache") in result.stderr
 
+    @pytest.mark.parametrize("field", ["Make", "Trim"])
+    def test_record_mode_rejects_an_unprintable_answer_and_stores_nothing(self, runner, tmp_path, monkeypatch, field):
+        """A lone surrogate, mapped field or not, ends in one error line before the document is stored,
+        so the next offline run reads a miss, not a document it must reject."""
+        vin = "11111111111111111"
+
+        def service(url, body, timeout):
+            return {"Results": [{"VIN": vin, "Model Year": "2001", field: "\ud800"}]}
+
+        monkeypatch.setattr(vpic, "_http_transport", service)
+        result = runner.invoke(main, ["--data-dir", str(tmp_path), "decode", "--vpic-mode", "record", vin])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: decode response for '{vin}' cannot be read as JSON: ")
+        assert result.stderr.count("\n") == 1 and "surrogates not allowed" in result.stderr
+        assert not (tmp_path / "vpic_cache").exists()
+        replay = runner.invoke(main, ["--data-dir", str(tmp_path), "decode", vin, "--format", "csv"])
+        assert replay.exit_code == 0
+        assert replay.stdout.splitlines()[1] == f"{vin},miss: cache miss,2001,111,,,"
+
     def test_record_mode_without_data_dir_is_usage_error(self, runner):
         result = runner.invoke(main, ["decode", "--vpic-mode", "record", make_vin(1)])
         assert result.exit_code == 2

@@ -22,8 +22,6 @@ from adasfleet.datasets import (
     ingest_adoption_csv,
     ingest_fars_csv,
     ingest_fleet_csv,
-    write_adoption_csv,
-    write_fleet_csv,
 )
 from adasfleet.errors import (
     BadEnumValue,
@@ -34,7 +32,7 @@ from adasfleet.errors import (
 )
 from adasfleet.vin import compute_check_digit
 
-from oracles import oracle_cohort_counts, oracle_cohort_series
+from oracles import oracle_cohort_counts, oracle_cohort_series, write_adoption_csv, write_fleet_csv
 
 ACC = FeatureId.ADAPTIVE_CRUISE_CONTROL
 LCA = FeatureId.LANE_CENTERING_ASSIST
@@ -255,25 +253,25 @@ class TestFarsIngestion:
     def test_missing_vin_column(self, tmp_path):
         path = write(tmp_path, "fars.csv", "vehicle,crash_year\nx,2021\n")
         with pytest.raises(SchemaError):
-            ingest_fars_csv(path, Catalog(records=()))
+            ingest_fars_csv(path, Catalog(()))
 
     def test_model_year_override_column_wins(self, tmp_path):
         vin = vin_for_year_code("M", 9)
         path = write(tmp_path, "fars.csv", f"vin,crash_year,make,model,model_year\n{vin},2021,acme,alpha,2019\n")
-        result = ingest_fars_csv(path, Catalog(records=()))
+        result = ingest_fars_csv(path, Catalog(()))
         assert result.records[0].model_year == 2019
 
     def test_minimal_schema_gives_empty_flags_without_warnings(self, tmp_path):
         vin = vin_for_year_code("M", 11)
         path = write(tmp_path, "fars.csv", f"vin,crash_year\n{vin},2021\n")
-        result = ingest_fars_csv(path, Catalog(records=()))
+        result = ingest_fars_csv(path, Catalog(()))
         assert result.records[0].feature_flags == {}
         assert result.warning_count == 0
 
     def test_accepted_plus_warned_covers_all_rows(self, tmp_path):
         rows = ["vin,crash_year", "BAD1,2021", "BAD2,2021", f"{vin_for_year_code('M', 13)},2021"]
         path = write(tmp_path, "fars.csv", "\n".join(rows) + "\n")
-        result = ingest_fars_csv(path, Catalog(records=()))
+        result = ingest_fars_csv(path, Catalog(()))
         assert len(result.records) == 3
         assert result.warning_count == 2
 

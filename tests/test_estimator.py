@@ -124,12 +124,20 @@ class TestMatchLag:
         match = match_lag(series(ACC, y2020=("0.15", "0.55")), [series(LDW, y2018=("0.16", "0.55"))])
         assert CautionKind.SMALL_OVERLAP in {c.kind for c in match.cautions}
 
-    def test_optional_share_divergence_flagged(self):
+    @pytest.mark.parametrize("target_opt, analog_opt, shown", [
+        ("0.20", "0.40", "20"),
+        ("0.29", "0", "29"),  # in floats, 28.999999999999996, shown as 29.0
+        ("0.20", "0", "20"),
+        ("0.32675", "0", "32.68"),  # a half, below it in binary: round() showed 32.67, as it shows 2.675 as 2.67
+    ])
+    def test_optional_share_divergence_flagged(self, target_opt, analog_opt, shown):
+        """The divergence is exact and is shown half-up to two places."""
         match = match_lag(
-            series(ACC, y2020=("0.50", "0.20")),
-            [series(LDW, y2018=("0.30", "0.40"))],
+            series(ACC, y2020=("0.50", target_opt)),
+            [series(LDW, y2018=("0.30", analog_opt))],
         )
-        assert CautionKind.OPTIONAL_SHARE_DIVERGENCE in {c.kind for c in match.cautions}
+        flags = {c.kind: c.render() for c in match.cautions}
+        assert flags[CautionKind.OPTIONAL_SHARE_DIVERGENCE] == f"optional_share_divergence({shown})"
 
     def test_mandate_era_match_flagged(self):
         target = AdoptionSeries(PAEB, {2021: AdoptionPoint(Fraction(67, 100), Fraction(0, 1))})

@@ -14,7 +14,7 @@ READERS = {
     "fleet": (ingest_fleet_csv, "feature,calendar_year,equipped_frac"),
     "activation": (ingest_activation_csv, "feature,rate,source,donor"),
     "catalog": (load_catalog, "make,model,model_year,feature,availability"),
-    "fars": (lambda path: ingest_fars_csv(path, Catalog(records=())), "vin,crash_year,make,model,model_year"),
+    "fars": (lambda path: ingest_fars_csv(path, Catalog(())), "vin,crash_year,make,model,model_year"),
     "variable_map": (load_variable_map, "variable,feature"),
 }
 

@@ -17,17 +17,13 @@ from adasfleet.vin import compute_check_digit, parse_vin
 from adasfleet.vpic import (
     CacheMode,
     FixtureCache,
-    RequestLimits,
     batch_decode,
     load_variable_map,
     normalize_vpic_record,
-    split_batches,
 )
 
 ACC_VAR = "Adaptive Cruise Control (ACC)"
 LCA_VAR = "Lane Centering Assistance"
-
-FAST = RequestLimits(base_delay=0.0)
 
 
 def make_vin(serial: int, year_code: str = "M") -> str:
@@ -108,7 +104,7 @@ class TestNormalize:
     def test_blank_variables_agree_with_a_catalog_miss(self):
         """A blank decode and a catalog miss are the two routes to an absent
         feature; they must give the same availability in every model year."""
-        catalog = Catalog(records=())
+        catalog = Catalog(())
         mapping = load_variable_map()
         for model_year in range(1980, 2040):
             record = normalize_vpic_record(document(make_vin(1), model_year=model_year, **dict.fromkeys(mapping, "")))
@@ -230,7 +226,7 @@ class TestOfflineMode:
     def test_cache_hits_make_zero_network_calls(self, warm_cache):
         transport = CountingTransport()
         vins = [make_vin(0), make_vin(1)]
-        records = batch_decode(vins, warm_cache, FAST, transport=transport)
+        records = batch_decode(vins, warm_cache, transport=transport)
         assert transport.calls == 0
         assert [r.vin for r in records] == vins
         assert all(r.feature_flags[FeatureId.ADAPTIVE_CRUISE_CONTROL] is Availability.STANDARD for r in records)
@@ -238,20 +234,20 @@ class TestOfflineMode:
     def test_cache_miss_yields_error_text(self, tmp_path):
         cache = FixtureCache(tmp_path / "empty", CacheMode.OFFLINE)
         transport = CountingTransport()
-        (record,) = batch_decode([make_vin(9)], cache, FAST, transport=transport)
+        (record,) = batch_decode([make_vin(9)], cache, transport=transport)
         assert record.error_text == "cache miss"
         assert record.feature_flags == {}
         assert transport.calls == 0
 
     def test_order_follows_input_not_cache(self, warm_cache):
         vins = [make_vin(3), make_vin(99), make_vin(0)]
-        records = batch_decode(vins, warm_cache, FAST, transport=CountingTransport())
+        records = batch_decode(vins, warm_cache, transport=CountingTransport())
         assert [r.vin for r in records] == vins
 
     def test_warm_cache_decode_is_idempotent(self, warm_cache):
         vins = [make_vin(2), make_vin(1)]
-        first = batch_decode(vins, warm_cache, FAST, transport=CountingTransport())
-        second = batch_decode(vins, warm_cache, FAST, transport=CountingTransport())
+        first = batch_decode(vins, warm_cache, transport=CountingTransport())
+        second = batch_decode(vins, warm_cache, transport=CountingTransport())
         assert first == second
 
     def test_replayed_decodes_feed_the_crash_cohort_path(self, tmp_path):
@@ -260,7 +256,7 @@ class TestOfflineMode:
         for serial, value in enumerate(values):
             cache.store(make_vin(serial), document(make_vin(serial), **{ACC_VAR: value}))
         vins = [make_vin(serial) for serial in range(len(values) + 1)]  # the last one is a cache miss
-        records = batch_decode(vins, cache, FAST, transport=CountingTransport())
+        records = batch_decode(vins, cache, transport=CountingTransport())
         series = fars_adoption_series(records, FeatureId.ADAPTIVE_CRUISE_CONTROL)
         assert series.points == {2021: AdoptionPoint(Fraction(1, 2), Fraction(1, 4))}
 
@@ -275,14 +271,14 @@ class TestOfflineMode:
         monkeypatch.setattr(vin_module, "_parse", counting_parse)
         vins = [parse_vin(make_vin(serial), strict=False) for serial in range(4)]
         calls.clear()
-        records = batch_decode(vins, warm_cache, FAST, transport=CountingTransport())
+        records = batch_decode(vins, warm_cache, transport=CountingTransport())
         assert calls == [] and [r.make for r in records] == ["ACME"] * 4
-        batch_decode([v.raw for v in vins], warm_cache, FAST, transport=CountingTransport())
+        batch_decode([v.raw for v in vins], warm_cache, transport=CountingTransport())
         assert calls == [v.raw for v in vins]
 
     def test_structurally_invalid_vin_raises(self, warm_cache):
         with pytest.raises(WrongLength):
-            batch_decode(["SHORT"], warm_cache, FAST, transport=CountingTransport())
+            batch_decode(["SHORT"], warm_cache, transport=CountingTransport())
 
 
 class TestRecordThenReplay:
@@ -290,34 +286,35 @@ class TestRecordThenReplay:
         cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
         transport = CountingTransport()
         vins = [make_vin(0), make_vin(1)]
-        records = batch_decode(vins, cache, FAST, transport=transport)
+        records = batch_decode(vins, cache, transport=transport)
         assert transport.calls == 1
         assert [r.vin for r in records] == vins
         assert json.loads((tmp_path / "cache" / f"{vins[0]}.json").read_text())["VIN"] == vins[0]
 
-        replay = batch_decode(vins, cache, FAST, transport=transport)
+        replay = batch_decode(vins, cache, transport=transport)
         assert transport.calls == 1
         assert replay == records
 
-    def test_batch_size_bounds_each_request(self, tmp_path):
+    def test_batch_size_bounds_each_request(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(vpic, "BATCH_SIZE", 2)
         cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
         transport = CountingTransport()
         vins = [make_vin(i) for i in range(5)]
-        batch_decode(vins, cache, RequestLimits(batch_size=2, base_delay=0.0), transport=transport)
+        batch_decode(vins, cache, transport=transport)
         assert transport.calls == 3
         assert all(len(b["DATA"].split(";")) <= 2 for b in transport.bodies)
 
     def test_network_failure_degrades_to_error_records(self, tmp_path):
         cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
         transport = CountingTransport(fail_first=99)
-        (record,) = batch_decode([make_vin(0)], cache, FAST, transport=transport)
-        assert transport.calls == FAST.attempts
+        (record,) = batch_decode([make_vin(0)], cache, transport=transport)
+        assert transport.calls == vpic.ATTEMPTS
         assert "network error" in record.error_text
 
     def test_transient_failure_retried(self, tmp_path):
         cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
         transport = CountingTransport(fail_first=2)
-        (record,) = batch_decode([make_vin(0)], cache, FAST, transport=transport)
+        (record,) = batch_decode([make_vin(0)], cache, transport=transport)
         assert transport.calls == 3
         assert record.make == "ACME"
 
@@ -332,12 +329,11 @@ class TestRecordThenReplay:
 
         vpic._bundled_variable_map.cache_clear()
         monkeypatch.setattr(vpic, "load_variable_map", slow_load)
+        monkeypatch.setattr(vpic, "BATCH_SIZE", 2)
+        monkeypatch.setattr(vpic, "MAX_IN_FLIGHT", 2)
         cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
         try:
-            records = batch_decode(
-                [make_vin(i) for i in range(4)], cache,
-                RequestLimits(batch_size=2, max_in_flight=2, base_delay=0.0), transport=CountingTransport(),
-            )
+            records = batch_decode([make_vin(i) for i in range(4)], cache, transport=CountingTransport())
         finally:
             vpic._bundled_variable_map.cache_clear()
         assert len(loads) == 1
@@ -352,10 +348,11 @@ class TestRecordThenReplay:
 
         cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
         with pytest.raises(TypeError, match="wrong arguments"):
-            batch_decode([make_vin(0)], cache, FAST, transport=broken_transport)
+            batch_decode([make_vin(0)], cache, transport=broken_transport)
         assert len(calls) == 1
 
-    def test_batches_that_succeed_are_cached_before_a_malformed_one_raises(self, tmp_path):
+    def test_batches_that_succeed_are_cached_before_a_malformed_one_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(vpic, "BATCH_SIZE", 2)
         vins = [make_vin(i) for i in range(4)]
 
         def second_batch_malformed(url, body, timeout):
@@ -366,8 +363,22 @@ class TestRecordThenReplay:
 
         cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
         with pytest.raises(MalformedResponse):
-            batch_decode(vins, cache, RequestLimits(batch_size=2, base_delay=0.0), transport=second_batch_malformed)
+            batch_decode(vins, cache, transport=second_batch_malformed)
         assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(f"{v}.json" for v in vins[:2])
+
+
+    def test_unprintable_document_fails_its_batch_before_anything_is_stored(self, tmp_path):
+        """The check `FixtureCache.load` makes on replay runs on each fetched document first."""
+        vins = [make_vin(i) for i in range(2)]
+
+        def one_lone_surrogate(url, body, timeout):
+            batch = body["DATA"].split(";")
+            return {"Results": [document(batch[0]), document(batch[1], **{"Trim": "\udfff"})]}
+
+        cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
+        with pytest.raises(MalformedResponse, match=f"decode response for '{vins[1]}' .* surrogates not allowed"):
+            batch_decode(vins, cache, transport=one_lone_surrogate)
+        assert not (tmp_path / "cache").exists()
 
 
 class TestLiveOnly:
@@ -375,14 +386,14 @@ class TestLiveOnly:
         cache_dir = tmp_path / "cache"
         cache = FixtureCache(cache_dir, CacheMode.LIVE_ONLY)
         transport = CountingTransport()
-        batch_decode([make_vin(0)], cache, FAST, transport=transport)
+        batch_decode([make_vin(0)], cache, transport=transport)
         assert transport.calls == 1
         assert not cache_dir.exists()
 
     def test_exhausted_retries_raise(self, tmp_path):
         cache = FixtureCache(tmp_path / "cache", CacheMode.LIVE_ONLY)
         with pytest.raises(NetworkError):
-            batch_decode([make_vin(0)], cache, FAST, transport=CountingTransport(fail_first=99))
+            batch_decode([make_vin(0)], cache, transport=CountingTransport(fail_first=99))
 
     def test_malformed_payload_raises(self, tmp_path):
         cache = FixtureCache(tmp_path / "cache", CacheMode.LIVE_ONLY)
@@ -391,7 +402,7 @@ class TestLiveOnly:
             return {"unexpected": True}
 
         with pytest.raises(MalformedResponse):
-            batch_decode([make_vin(0)], cache, FAST, transport=bad_transport)
+            batch_decode([make_vin(0)], cache, transport=bad_transport)
 
     def test_vin_missing_from_response_gets_error_record(self, tmp_path):
         cache = FixtureCache(tmp_path / "cache", CacheMode.LIVE_ONLY)
@@ -400,27 +411,30 @@ class TestLiveOnly:
             vins = body["DATA"].split(";")
             return {"Results": [document(v) for v in vins[:1]]}
 
-        records = batch_decode([make_vin(0), make_vin(1)], cache, FAST, transport=partial_transport)
+        records = batch_decode([make_vin(0), make_vin(1)], cache, transport=partial_transport)
         assert records[0].make == "ACME"
         assert records[1].error_text == "missing from response"
 
 
 class TestBatching:
-    def test_corpus_sized_batch_plan(self):
-        batches = split_batches(["x"] * 138_899, 50)
-        assert len(batches) == 2_778
-        assert sum(len(b) for b in batches) == 138_899
-        assert all(len(b) == 50 for b in batches[:-1])
-
-    def test_order_preserved_across_batches(self, tmp_path):
+    def test_corpus_sized_batch_plan(self, tmp_path):
+        """Under the default batch size, the service's maximum of 50, 101 VINs take requests of 50, 50 and 1."""
         cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
-        vins = [make_vin(i) for i in range(17)]
-        records = batch_decode(
-            vins, cache, RequestLimits(batch_size=3, max_in_flight=4, base_delay=0.0),
-            transport=CountingTransport(),
-        )
+        transport = CountingTransport()
+        vins = [make_vin(i) for i in range(101)]
+        records = batch_decode(vins, cache, transport=transport)
+        assert sorted((len(b["DATA"].split(";")) for b in transport.bodies), reverse=True) == [50, 50, 1]
         assert [r.vin for r in records] == vins
 
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            split_batches([1], 0)
+    def test_url_and_transport_are_keyword_only(self, warm_cache):
+        """A third positional argument, once a request-limits object, cannot silently become the URL."""
+        with pytest.raises(TypeError):
+            batch_decode([], warm_cache, vpic.DEFAULT_BASE_URL)
+
+    def test_order_preserved_across_batches(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(vpic, "BATCH_SIZE", 3)
+        monkeypatch.setattr(vpic, "MAX_IN_FLIGHT", 4)
+        cache = FixtureCache(tmp_path / "cache", CacheMode.RECORD_THEN_REPLAY)
+        vins = [make_vin(i) for i in range(17)]
+        records = batch_decode(vins, cache, transport=CountingTransport())
+        assert [r.vin for r in records] == vins
