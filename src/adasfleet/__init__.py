@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 from .catalog import (
     Availability,
     Catalog,
-    DEFAULT_MANDATES,
     FeatureId,
-    MandateInfo,
     PRIORITY_FEATURES,
     TrimAvailabilityRecord,
     load_catalog,

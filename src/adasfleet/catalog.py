@@ -89,26 +89,10 @@ class TrimAvailabilityRecord:
     availability: Availability
 
 
-@dataclass(frozen=True)
-class MandateInfo:
-    """A regulatory mandate that can distort an analog technology's adoption."""
-
-    feature: FeatureId
-    announced_year: int
-    effective_year: int
-
-    def __post_init__(self):
-        if self.announced_year > self.effective_year:
-            raise ValueError("mandate cannot take effect before it is announced")
-
-
-# FMVSS 126: electronic stability control, proposed 2006, mandatory on new
-# vehicles from 2012.
-DEFAULT_MANDATES: Mapping[FeatureId, MandateInfo] = {
-    FeatureId.ELECTRONIC_STABILITY_CONTROL: MandateInfo(
-        FeatureId.ELECTRONIC_STABILITY_CONTROL, announced_year=2006, effective_year=2012
-    ),
-}
+# The year each regulatory mandate that can distort an analog technology's
+# adoption was announced. FMVSS 126: electronic stability control, proposed
+# 2006, mandatory on new vehicles from 2012.
+MANDATE_ANNOUNCED: Mapping[FeatureId, int] = {FeatureId.ELECTRONIC_STABILITY_CONTROL: 2006}
 
 # Decoded availability data does not reach below this model year.
 DEFAULT_COVERAGE_FLOOR = 2017
@@ -186,11 +170,15 @@ def parse_year(text: str, column: str) -> int:
 
 
 def text_lines(source):
-    """Lines of a UTF-8 file, or of an open text stream, streamed and split as str.splitlines splits them."""
+    """Lines of a UTF-8 file, or of an open text stream, streamed and split as str.splitlines splits them.
+
+    One leading byte-order mark (U+FEFF), which some editors write, is dropped."""
     is_path = isinstance(source, (str, Path))
     try:
         with (open(source, encoding="utf-8", newline="") if is_path else nullcontext(source)) as handle:
-            for chunk in handle:
+            chunks = iter(handle)
+            yield from next(chunks, "").removeprefix("\ufeff").splitlines()
+            for chunk in chunks:
                 yield from chunk.splitlines()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{source} is not UTF-8 text: {exc.reason}") from None
@@ -233,6 +221,9 @@ class Table:
         for name in self.columns:
             if name not in index:
                 raise SchemaError(f"file must have a {name!r} column, got {header}")
+        for name in self.columns + self.optional:
+            if header.count(name) > 1:  # which of them to read would be a guess
+                raise SchemaError(f"file must have one {name!r} column, got {header}")
         return [index.get(name) for name in self.columns + self.optional]
 
     def __iter__(self):

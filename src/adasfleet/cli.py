@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import datasets, estimator, vpic
-from .catalog import Catalog, FeatureId, PRIORITY_FEATURES, Availability, load_catalog, text_lines
+from .catalog import FeatureId, PRIORITY_FEATURES, Availability, load_catalog, text_lines
 from .datasets import ActivationTable, AdoptionSeries, FarsIngest, FleetSeries, bundled_data_dir
 from .errors import AdasFleetError, EmptyCohort, IllegalYearCode
 from .estimator import EstimatorConfig, PenetrationEstimate
@@ -57,7 +57,6 @@ class DataBundle:
     adoption: dict[FeatureId, AdoptionSeries]
     fleet: dict[FeatureId, FleetSeries]
     activation: ActivationTable
-    catalog: Catalog
     fars: FarsIngest
 
 
@@ -68,7 +67,6 @@ def load_bundle(data_dir: Path | None) -> DataBundle:
         adoption=datasets.ingest_adoption_csv(resolve(data_dir, "adoption")),
         fleet=datasets.ingest_fleet_csv(resolve(data_dir, "fleet")),
         activation=datasets.ingest_activation_csv(resolve(data_dir, "activation")),
-        catalog=catalog,
         fars=datasets.ingest_fars_csv(resolve(data_dir, "fars"), catalog),
     )
 
@@ -155,7 +153,7 @@ def _decode_rows(vins: list[str], cache: FixtureCache, strict_vin: bool, vpic_ur
         try:
             row["model_year"] = str(vin.model_year)
         except IllegalYearCode as exc:
-            row["status"] = f"warning: {exc}"
+            row["status"] = f"warning: {exc}" if row["status"] == "ok" else f"{row['status']}; warning: {exc}"
         parsed.append((row, vin))
         rows.append(row)
     if parsed:
@@ -213,7 +211,7 @@ def decode(data_dir: Path | None, vins, vin_file, fmt, strict_vin, vpic_mode, vp
 
 
 _CAUTION_NOTES = {
-    "analog_under_mandate": "analog fleet rate read from a year at or after its mandate announcement",
+    "analog_under_mandate": "analog series read from a year at or after its mandate announcement",
     "long_lag": "lag exceeds the long-lag threshold (years)",
     "optional_share_divergence": "standard/optional mix differs at the matched years (pp)",
     "small_overlap": "match rests on few overlapping years",
@@ -314,7 +312,7 @@ def ingest(data_dir: Path | None, kind, source):
     else:
         catalog = load_catalog(resolve(data_dir, "catalog"))
         result = datasets.ingest_fars_csv(source, catalog)
-        click.echo(f"ok: {len(result.records)} vehicle records, {result.warning_count} warnings")
+        click.echo(f"ok: {len(result.records)} vehicle records, {len(result.warnings)} warnings")
         for warning in result.warnings:
             click.echo(f"warning: {warning}", err=True)
 

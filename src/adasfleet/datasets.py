@@ -134,10 +134,6 @@ class FarsIngest:
     records: list[VehicleRecord]
     warnings: list[str]
 
-    @property
-    def warning_count(self) -> int:
-        return len(self.warnings)
-
 
 def _ingest_series(source, header, point, series) -> dict:
     """The one body of the series readers: rows of feature, year and fractions

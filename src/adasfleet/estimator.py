@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .catalog import Availability, DEFAULT_MANDATES, FeatureId, PRIORITY_FEATURES
+from .catalog import Availability, FeatureId, MANDATE_ANNOUNCED, PRIORITY_FEATURES
 from .datasets import ActivationTable, AdoptionSeries, FleetSeries, VehicleRecord
 from .errors import EmptyCohort, InsufficientData, NoCandidateQualifies, YearNotInSeries
 
@@ -59,7 +59,6 @@ DEFAULT_CONFIG = EstimatorConfig()
 
 @dataclass(frozen=True)
 class LagMatch:
-    target: FeatureId
     analog: FeatureId
     lag_years: int
     distance: float
@@ -126,6 +125,13 @@ class PenetrationEstimate:
             )
 
 
+def _mandate_caution(analog: FeatureId, years_read: list[int]) -> frozenset[CautionFlag]:
+    """The analog-under-mandate caution: the earliest analog year read at or after the mandate's announcement."""
+    announced = MANDATE_ANNOUNCED.get(analog)
+    under = [] if announced is None else [y for y in years_read if y >= announced]
+    return frozenset({CautionFlag(CautionKind.ANALOG_UNDER_MANDATE, min(under))} if under else ())
+
+
 def match_lag(
     target: AdoptionSeries,
     candidates: Sequence[AdoptionSeries],
@@ -180,13 +186,8 @@ def match_lag(
     )
     if divergence > OPTIONAL_DIVERGENCE_PP:
         cautions.add(CautionFlag(CautionKind.OPTIONAL_SHARE_DIVERGENCE, divergence))
-    mandate = DEFAULT_MANDATES.get(candidate.feature)
-    if mandate is not None:
-        under = [y - lag for y in overlap if y - lag >= mandate.announced_year]
-        if under:
-            cautions.add(CautionFlag(CautionKind.ANALOG_UNDER_MANDATE, min(under)))
+    cautions |= _mandate_caution(candidate.feature, [y - lag for y in overlap])
     return LagMatch(
-        target=target.feature,
         analog=candidate.feature,
         lag_years=lag,
         distance=distance,
@@ -211,12 +212,8 @@ def transfer_fleet_rate(match: LagMatch, analog_fleet: FleetSeries, target_year:
             f"fleet series is for {analog_fleet.feature.value}, match analog is {match.analog.value}"
         )
     source_year = target_year - match.lag_years
-    rate = analog_fleet.rate(source_year)
-    cautions = set()
-    mandate = DEFAULT_MANDATES.get(match.analog)
-    if mandate is not None and source_year >= mandate.announced_year:
-        cautions.add(CautionFlag(CautionKind.ANALOG_UNDER_MANDATE, source_year))
-    return FleetTransfer(rate=rate, source_year=source_year, cautions=frozenset(cautions))
+    cautions = _mandate_caution(match.analog, [source_year])
+    return FleetTransfer(rate=analog_fleet.rate(source_year), source_year=source_year, cautions=cautions)
 
 
 @dataclass(frozen=True)

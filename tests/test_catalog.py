@@ -8,9 +8,8 @@ from adasfleet.catalog import (
     Availability,
     Catalog,
     DEFAULT_COVERAGE_FLOOR,
-    DEFAULT_MANDATES,
     FeatureId,
-    MandateInfo,
+    MANDATE_ANNOUNCED,
     PRIORITY_FEATURES,
     load_catalog,
 )
@@ -125,14 +124,7 @@ def test_priority_features_are_the_first_six():
 
 
 def test_bundled_mandate_row():
-    mandate = DEFAULT_MANDATES[FeatureId.ELECTRONIC_STABILITY_CONTROL]
-    assert mandate.announced_year == 2006
-    assert mandate.effective_year == 2012
-
-
-def test_mandate_ordering_enforced():
-    with pytest.raises(ValueError):
-        MandateInfo(FeatureId.ELECTRONIC_STABILITY_CONTROL, announced_year=2015, effective_year=2012)
+    assert MANDATE_ANNOUNCED == {FeatureId.ELECTRONIC_STABILITY_CONTROL: 2006}
 
 
 def test_catalog_rejects_duplicates_in_records():

@@ -78,6 +78,14 @@ class TestDecode:
         assert [row["vin"] for row in rows] == vins
         assert all(row["model_year"] == "2021" for row in rows)
 
+    def test_file_with_a_byte_order_mark(self, runner, tmp_path):
+        vins = [make_vin(i) for i in range(2)]
+        source = tmp_path / "vins.csv"
+        source.write_text("\ufeffVIN\n" + "\n".join(vins) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["decode", "--strict-vin", "--file", str(source), "--format", "csv"])
+        assert result.exit_code == 0
+        assert [row["vin"] for row in parse_csv(result.stdout)] == vins
+
     def test_no_vins_is_usage_error(self, runner):
         result = runner.invoke(main, ["decode"])
         assert result.exit_code == 2
@@ -168,12 +176,16 @@ class TestDecode:
 
     def test_vin_with_no_decode_is_a_miss(self, runner):
         bad_check_digit = "1M8GDM9AYKP042788"
-        result = runner.invoke(main, ["decode", "1M8GDM9AXKP042788", ALL_ONES, bad_check_digit, "--format", "json"])
+        bad_check_digit_and_year_code = "1ATCDEFG0UA000001"
+        args = ["decode", "1M8GDM9AXKP042788", ALL_ONES, bad_check_digit, bad_check_digit_and_year_code]
+        result = runner.invoke(main, [*args, "--format", "json"])
         assert result.exit_code == 0
         assert [row["status"] for row in json.loads(result.stdout)] == [
             "miss: cache miss",
             "miss: cache miss",
             "warning: check digit mismatch in '1M8GDM9AYKP042788': expected 'X', found 'Y'; miss: cache miss",
+            "warning: check digit mismatch in '1ATCDEFG0UA000001': expected '9', found '0'; "
+            "warning: 'U' is not a legal model-year code; miss: cache miss",
         ]
 
     def test_vin_the_service_leaves_out_is_a_miss(self, runner, tmp_path, monkeypatch):
@@ -362,6 +374,17 @@ class TestEstimate:
         result = runner.invoke(main, ["--data-dir", str(data_dir_copy), "estimate", "--year", "2022"])
         assert result.exit_code == 1
         assert "lane_centering_assist" in result.stderr
+
+    def test_activation_gap_is_one_error_line_naming_each_missing_feature(self, runner, data_dir_copy):
+        activation = data_dir_copy / "activation.csv"
+        missing = ("adaptive_cruise_control", "lane_centering_assist")
+        kept = [line for line in activation.read_text(encoding="utf-8").splitlines() if not line.startswith(missing)]
+        activation.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["--data-dir", str(data_dir_copy), "estimate", "--year", "2022"])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert result.stderr == (
+            "error: activation table lacks entries for: adaptive_cruise_control, lane_centering_assist\n"
+        )
 
     def test_missing_year_option_is_usage_error(self, runner):
         result = runner.invoke(main, ["estimate"])

@@ -241,7 +241,7 @@ class TestFarsIngestion:
         path = write(tmp_path, "fars.csv", rows + "\n")
         result = ingest_fars_csv(path, catalog_for(["acme,alpha,2021,lane_centering_assist,standard"]))
         assert len(result.records) == 4
-        assert result.warning_count == 1
+        assert len(result.warnings) == 1
 
     def test_catalog_flags_pass_through(self, tmp_path):
         vin = vin_for_year_code("M", 7)
@@ -266,14 +266,31 @@ class TestFarsIngestion:
         path = write(tmp_path, "fars.csv", f"vin,crash_year\n{vin},2021\n")
         result = ingest_fars_csv(path, Catalog(()))
         assert result.records[0].feature_flags == {}
-        assert result.warning_count == 0
+        assert len(result.warnings) == 0
 
     def test_accepted_plus_warned_covers_all_rows(self, tmp_path):
         rows = ["vin,crash_year", "BAD1,2021", "BAD2,2021", f"{vin_for_year_code('M', 13)},2021"]
         path = write(tmp_path, "fars.csv", "\n".join(rows) + "\n")
         result = ingest_fars_csv(path, Catalog(()))
         assert len(result.records) == 3
-        assert result.warning_count == 2
+        assert len(result.warnings) == 2
+
+
+    @pytest.mark.parametrize("header, column", [
+        ("vin,crash_year,vin", "vin"),
+        ("vin,crash_year,make,model,make", "make"),
+    ])
+    def test_column_read_twice_is_rejected(self, tmp_path, header, column):
+        cells = ",".join([vin_for_year_code("M", 15), "2021"] + ["xx"] * (header.count(",") - 1))
+        path = write(tmp_path, "fars.csv", f"{header}\n{cells}\n")
+        with pytest.raises(SchemaError, match=rf"^file must have one '{column}' column, got \[.*\]$"):
+            ingest_fars_csv(path, Catalog(()))
+
+    def test_ignored_column_may_repeat(self, tmp_path):
+        path = write(tmp_path, "fars.csv", f"vin,crash_year,note,note\n{vin_for_year_code('M', 17)},2021,a,b\n")
+        result = ingest_fars_csv(path, Catalog(()))
+        assert [(r.crash_year, r.model_year) for r in result.records] == [(2021, 2021)]
+        assert result.warnings == []
 
 
 def cohort_record(feature_flags, model_year=2021):
@@ -379,7 +396,7 @@ class TestCohortPassAgainstOracle:
 def test_bundled_fixture_reproduces_published_fractions(bundled_dir):
     catalog = load_catalog(bundled_dir / "catalog.csv")
     result = ingest_fars_csv(bundled_dir / "fars_vehicles.csv", catalog)
-    assert result.warning_count == 0
+    assert len(result.warnings) == 0
     lca = fars_availability_fraction(result.records, LCA, 2021)
     paeb = fars_availability_fraction(result.records, PAEB, 2021)
     assert lca == (Fraction(23, 100), Fraction(2, 100), 100)

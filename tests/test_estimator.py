@@ -150,6 +150,45 @@ class TestMatchLag:
         assert CautionKind.ANALOG_UNDER_MANDATE not in {c.kind for c in match.cautions}
 
 
+class TestMandateBoundary:
+    """Reading electronic stability control from 2006, its mandate's announcement year, or later is flagged
+    with the earliest such year read, whether the year is read by the lag match or by the fleet transfer."""
+
+    LAG = 15
+
+    def esc_match(self, analog_years):
+        """The match of a PAEB curve onto the ESC curve at the given years, `LAG` years later."""
+        rising = {y: (f"0.{i + 1}", "0") for i, y in enumerate(analog_years)}
+        target = series(PAEB, **{f"y{y + self.LAG}": point for y, point in rising.items()})
+        match = match_lag(target, [series(ESC, **{f"y{y}": point for y, point in rising.items()})])
+        assert (match.analog, match.lag_years) == (ESC, self.LAG)
+        return match
+
+    @staticmethod
+    def mandate_flags(cautions):
+        return [c.render() for c in cautions if c.kind is CautionKind.ANALOG_UNDER_MANDATE]
+
+    @pytest.mark.parametrize("analog_years, flags", [
+        ((2004, 2005), []),
+        ((2006,), ["analog_under_mandate(2006)"]),
+        ((2005, 2006, 2007), ["analog_under_mandate(2006)"]),
+    ])
+    def test_match_lag(self, analog_years, flags):
+        assert self.mandate_flags(self.esc_match(analog_years).cautions) == flags
+
+    @pytest.mark.parametrize("source_year, flags", [
+        (2004, []),
+        (2005, []),
+        (2006, ["analog_under_mandate(2006)"]),
+        (2007, ["analog_under_mandate(2007)"]),
+    ])
+    def test_transfer_fleet_rate(self, source_year, flags):
+        fleet = FleetSeries(ESC, {source_year: Decimal("0.25")})
+        transfer = transfer_fleet_rate(self.esc_match((2004, 2005)), fleet, source_year + self.LAG)
+        assert transfer.source_year == source_year
+        assert self.mandate_flags(transfer.cautions) == flags
+
+
 combined_fracs = st.integers(min_value=0, max_value=100).map(lambda n: Decimal(n) / 100)
 
 # Fractions in [0, 1] as Fraction, exact Decimal (up to 40 places) and float,
@@ -231,42 +270,42 @@ class TestTransfer:
     def fleet(self, feature, **year_rates):
         return FleetSeries(feature, {int(y.lstrip("y")): Decimal(r) for y, r in year_rates.items()})
 
-    def make_match(self, target, analog, lag):
+    def make_match(self, analog, lag):
         from adasfleet.estimator import LagMatch
 
-        return LagMatch(target=target, analog=analog, lag_years=lag, distance=0.0,
+        return LagMatch(analog=analog, lag_years=lag, distance=0.0,
                         overlap_years=1, cautions=frozenset())
 
     def test_acc_reads_ldw_2020(self):
-        transfer = transfer_fleet_rate(self.make_match(ACC, LDW, 2), self.fleet(LDW, y2020="0.16"), 2022)
+        transfer = transfer_fleet_rate(self.make_match(LDW, 2), self.fleet(LDW, y2020="0.16"), 2022)
         assert transfer.rate == Decimal("0.16")
         assert transfer.source_year == 2020
         assert transfer.cautions == frozenset()
 
     def test_lca_reads_esc_2004_without_mandate_caution(self):
-        transfer = transfer_fleet_rate(self.make_match(LCA, ESC, 18), self.fleet(ESC, y2004="0.08"), 2022)
+        transfer = transfer_fleet_rate(self.make_match(ESC, 18), self.fleet(ESC, y2004="0.08"), 2022)
         assert transfer.rate == Decimal("0.08")
         assert {c.kind for c in transfer.cautions} == set()
 
     def test_paeb_reads_esc_2009_with_mandate_caution(self):
-        transfer = transfer_fleet_rate(self.make_match(PAEB, ESC, 13), self.fleet(ESC, y2009="0.25"), 2022)
+        transfer = transfer_fleet_rate(self.make_match(ESC, 13), self.fleet(ESC, y2009="0.25"), 2022)
         assert transfer.rate == Decimal("0.25")
         assert {c.kind for c in transfer.cautions} == {CautionKind.ANALOG_UNDER_MANDATE}
 
     def test_missing_year_raises(self):
         with pytest.raises(YearNotInSeries):
-            transfer_fleet_rate(self.make_match(ACC, LDW, 5), self.fleet(LDW, y2020="0.16"), 2022)
+            transfer_fleet_rate(self.make_match(LDW, 5), self.fleet(LDW, y2020="0.16"), 2022)
 
     def test_wrong_series_rejected(self):
         with pytest.raises(ValueError):
-            transfer_fleet_rate(self.make_match(ACC, LDW, 2), self.fleet(RPS, y2020="0.15"), 2022)
+            transfer_fleet_rate(self.make_match(LDW, 2), self.fleet(RPS, y2020="0.15"), 2022)
 
     @given(
         rates=st.dictionaries(st.integers(min_value=2000, max_value=2030), combined_fracs, min_size=1, max_size=8),
     )
     def test_lag_zero_self_transfer_is_identity(self, rates):
         fleet = FleetSeries(LDW, rates)
-        match = self.make_match(LDW, LDW, 0)
+        match = self.make_match(LDW, 0)
         for year in rates:
             assert transfer_fleet_rate(match, fleet, year).rate == rates[year]
 

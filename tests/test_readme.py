@@ -1,11 +1,14 @@
-"""The README's "Library surface" section is the one written list of public names; it must stay importable."""
+"""The README's "Library surface" section is the one written list of public names; it must stay importable,
+and every module constant the README names or states a value for must exist with that value."""
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
 
 import adasfleet
+from adasfleet import vpic
 from adasfleet.vpic import batch_decode
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -34,3 +37,25 @@ def test_batch_decode_line_matches_the_signature():
     assert positional + keyword_only == list(params)
     assert [name for name in keyword_only if params[name].kind is not inspect.Parameter.KEYWORD_ONLY] == []
     assert [name for name in positional if params[name].kind is inspect.Parameter.KEYWORD_ONLY] == []
+
+
+def test_every_module_qualified_constant_exists():
+    """Each UPPER_CASE name the README qualifies by module, such as `estimator.SMALL_OVERLAP_THRESHOLD`."""
+    text = README.read_text("utf-8")
+    named = set(re.findall(r"\b(catalog|datasets|estimator|vin|vpic|cli)\.([A-Z][A-Z0-9_]*)\b", text))
+    assert len(named) >= 3
+    assert sorted(f"{module}.{name}" for module, name in named
+                  if not hasattr(importlib.import_module(f"adasfleet.{module}"), name)) == []
+
+
+def test_stated_vpic_constants_equal_the_module_values():
+    """Each `NAME = value` in the paragraph on `adasfleet.vpic` constants, against the assignment in its source.
+
+    The source, not the attribute: the suite sets `RETRY_DELAY_S` to 0 so that retries do not sleep."""
+    paragraph = next(p for p in README.read_text("utf-8").split("\n\n") if "constants in `adasfleet.vpic`" in p)
+    stated = {name: ast.literal_eval(value) for name, value in re.findall(r"`([A-Z][A-Z0-9_]*) = ([^`]+)`", paragraph)}
+    assigned = {node.targets[0].id: ast.literal_eval(node.value) for node in ast.parse(inspect.getsource(vpic)).body
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in stated}
+    assert len(stated) == 5
+    assert stated == assigned

@@ -1,5 +1,7 @@
 """The shared table reader, exercised through every reader built on it."""
 
+import io
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -56,11 +58,12 @@ def test_arbitrary_bytes_parse_or_raise_a_package_error(kind, data, tmp_path_fac
         pass
 
 
-def test_row_errors_keep_their_class_and_gain_the_row(tmp_path):
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+@pytest.mark.parametrize("opened", [False, True], ids=["path", "stream"])
+def test_row_errors_keep_their_class_and_gain_the_row(tmp_path, bom, opened):
+    """A leading byte-order mark is dropped: the comment line after it is still a comment, and rows keep their numbers."""
+    text = bom + "# note\nmake,model,model_year,feature,availability\n\nacme,alpha,2021,warp_drive,standard\n"
     path = tmp_path / "catalog.csv"
-    path.write_text(
-        "# note\nmake,model,model_year,feature,availability\n\nacme,alpha,2021,warp_drive,standard\n",
-        encoding="utf-8",
-    )
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(BadEnumValue, match=r"^row 4: unknown feature name 'warp_drive'$"):
-        load_catalog(path)
+        load_catalog(io.StringIO(text, newline="") if opened else path)
