@@ -8,11 +8,13 @@ works out of the box. Exit codes: 0 success, 1 data or validation failure,
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 
@@ -20,7 +22,7 @@ from . import datasets, estimator, vpic
 from .catalog import FeatureId, PRIORITY_FEATURES, Availability, load_catalog, text_lines
 from .datasets import ActivationTable, AdoptionSeries, FarsIngest, FleetSeries, bundled_data_dir
 from .errors import AdasFleetError, EmptyCohort, IllegalYearCode
-from .estimator import EstimatorConfig, PenetrationEstimate
+from .estimator import CAUTION_NOTES, CautionFlag, EstimatorConfig, PenetrationEstimate
 from .vin import parse_vin_lenient
 from .vpic import CacheMode, FixtureCache
 
@@ -91,13 +93,9 @@ def _pp_text(value: Decimal) -> str:
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    widths = [max(len(row[i]) for row in [headers, *rows]) for i in range(len(headers))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in [headers, *rows]]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
 
@@ -113,6 +111,14 @@ def _json_rows(rows: list[dict[str, str]]) -> str:
         for row in rows
     ]
     return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
+
+
+def _echo_csv(header: list[str], rows: list[list]) -> None:
+    """Echo the header and the rows as CSV lines; a cell is quoted only when it holds a comma, a quote or a
+    line break. `writerow` returns what `write` returns, here its record, echoed without the writer's
+    default "\\r\\n" end, which is kept because it is what makes the writer quote a lone "\\r"."""
+    record = csv.writer(SimpleNamespace(write=lambda text: text)).writerow
+    click.echo("\n".join(record(row)[:-2] for row in [header, *rows]))
 
 
 class _Cli(click.Group):
@@ -136,32 +142,31 @@ def main(ctx, data_dir):
     ctx.obj = data_dir
 
 
-def _decode_rows(vins: list[str], cache: FixtureCache, strict_vin: bool, vpic_url: str) -> tuple[list[dict], bool]:
-    rows, any_failed, parsed = [], False, []
+def _decode_rows(vins: list[str], cache: FixtureCache, strict_vin: bool, vpic_url: str) -> list[dict]:
+    """One row per VIN. Its status collects the row's notes (an error, warnings,
+    a miss) in a list, and is joined with "; " at the end, or "ok" when empty."""
+    rows, parsed = [], []
     for text in vins:
         vin, warning = parse_vin_lenient(text)
-        row = {"vin": text.strip().upper(), "status": "ok", "model_year": "", "wmi": "",
+        row = {"vin": text.strip().upper(), "status": [], "model_year": "", "wmi": "",
                "make": "", "model": "", "features": ""}
+        rows.append(row)
         if vin is None or (strict_vin and warning):
-            row["status"] = f"error: {warning}"
-            any_failed = True
-            rows.append(row)
+            row["status"].append(f"error: {warning}")
             continue
         if warning:
-            row["status"] = f"warning: {warning}"
+            row["status"].append(f"warning: {warning}")
         row["wmi"] = vin.wmi
         try:
             row["model_year"] = str(vin.model_year)
         except IllegalYearCode as exc:
-            row["status"] = f"warning: {exc}" if row["status"] == "ok" else f"{row['status']}; warning: {exc}"
+            row["status"].append(f"warning: {exc}")
         parsed.append((row, vin))
-        rows.append(row)
     if parsed:
         records = vpic.batch_decode([vin for _, vin in parsed], cache, base_url=vpic_url)
         for (row, _), record in zip(parsed, records):
             if record.model_year is None:  # no document: a cache miss or a fetch that fell short
-                miss = f"miss: {record.error_text}"
-                row["status"] = miss if row["status"] == "ok" else f"{row['status']}; {miss}"
+                row["status"].append(f"miss: {record.error_text}")
                 continue
             row["make"], row["model"] = record.make, record.model
             present = [
@@ -170,7 +175,9 @@ def _decode_rows(vins: list[str], cache: FixtureCache, strict_vin: bool, vpic_ur
                 if record.feature_flags.get(f) in (Availability.STANDARD, Availability.OPTIONAL)
             ]
             row["features"] = ";".join(present)
-    return rows, any_failed
+    for row in rows:
+        row["status"] = "; ".join(row["status"]) or "ok"
+    return rows
 
 
 @main.command()
@@ -196,26 +203,16 @@ def decode(data_dir: Path | None, vins, vin_file, fmt, strict_vin, vpic_mode, vp
     if not collected:
         raise click.UsageError("no VINs given; pass them as arguments or with --file")
     cache = FixtureCache((data_dir or bundled_data_dir()) / _CACHE_DIR_NAME, mode)
-    rows, any_failed = _decode_rows(collected, cache, strict_vin, vpic_url)
+    rows = _decode_rows(collected, cache, strict_vin, vpic_url)
     headers = ["vin", "status", "model_year", "wmi", "make", "model", "features"]
     if fmt == "json":
         click.echo(_json_rows(rows))
     elif fmt == "csv":
-        click.echo(",".join(headers))
-        for row in rows:
-            click.echo(",".join(row[h] for h in headers))
+        _echo_csv(headers, [[row[h] for h in headers] for row in rows])
     else:
         click.echo(_table(headers, [[row[h] for h in headers] for row in rows]))
-    if any_failed and strict_vin:
+    if strict_vin and any(row["status"].startswith("error: ") for row in rows):
         sys.exit(1)
-
-
-_CAUTION_NOTES = {
-    "analog_under_mandate": "analog series read from a year at or after its mandate announcement",
-    "long_lag": "lag exceeds the long-lag threshold (years)",
-    "optional_share_divergence": "standard/optional mix differs at the matched years (pp)",
-    "small_overlap": "match rests on few overlapping years",
-}
 
 
 def _print_estimates(estimates: list[PenetrationEstimate], fmt: str) -> None:
@@ -235,18 +232,18 @@ def _print_estimates(estimates: list[PenetrationEstimate], fmt: str) -> None:
         click.echo(json.dumps({"year": estimates[0].year, "estimates": payload}, indent=2))
         return
     if fmt == "csv":
-        click.echo("feature,year,equipped_pct,activation_pct,activated_of_fleet_pct,provenance,cautions")
         for row in payload:
-            click.echo(
-                f"{row['feature']},{row['year']},{row['equipped_pct']},{row['activation_pct']},"
-                f"{row['activated_of_fleet_pct']},{row['provenance']},{';'.join(row['cautions'])}"
-            )
+            row["cautions"] = ";".join(row["cautions"])
+        _echo_csv(list(payload[0]), [list(row.values()) for row in payload])
         return
     markers: dict[str, str] = {}
-    rows = []
+    legend, rows = [], []
     for est, row in zip(estimates, payload):
-        for caution in row["cautions"]:
-            markers.setdefault(caution, chr(ord("a") + len(markers)))
+        for flag in sorted(est.cautions, key=CautionFlag.render):
+            caution = flag.render()
+            if caution not in markers:
+                markers[caution] = chr(ord("a") + len(markers))
+                legend.append(f"  [{markers[caution]}] {caution}: {CAUTION_NOTES[flag.kind]}")
         flags = "".join(sorted(markers[c] for c in row["cautions"]))
         rows.append([
             est.feature.display_name,
@@ -256,11 +253,8 @@ def _print_estimates(estimates: list[PenetrationEstimate], fmt: str) -> None:
             row["provenance"],
         ])
     click.echo(_table(["Technology", "Equipped", "Activated when equipped", "Activated of fleet", "Basis"], rows))
-    if markers:
-        click.echo("")
-        for caution, mark in sorted(markers.items(), key=lambda kv: kv[1]):
-            kind = caution.split("(")[0]
-            click.echo(f"  [{mark}] {caution}: {_CAUTION_NOTES.get(kind, kind)}")
+    if legend:
+        click.echo("\n" + "\n".join(legend))
 
 
 @main.command()
@@ -276,9 +270,6 @@ def _print_estimates(estimates: list[PenetrationEstimate], fmt: str) -> None:
 def estimate(data_dir: Path | None, year, fmt, max_lag, min_overlap, long_lag_threshold):
     """Per-feature equipped, activation, and activated-of-fleet percentages."""
     bundle = load_bundle(data_dir)
-    missing = bundle.activation.missing_priority()
-    if missing:
-        raise AdasFleetError(f"activation table lacks entries for: {', '.join(f.value for f in missing)}")
     estimates = estimator.estimate_table(
         year, bundle.fleet, bundle.adoption, build_fars_series(bundle), bundle.activation,
         EstimatorConfig(max_lag, min_overlap, long_lag_threshold),
@@ -343,17 +334,15 @@ def report_forecast(predicted, estimated, year, fmt):
     if fmt == "json":
         click.echo(json.dumps({"year": year, "rows": rows, "mean_absolute_error_pp": _pp_text(mae)}, indent=2))
     elif fmt == "csv":
-        click.echo("feature,year,predicted_pct,estimated_pct,error_pp")
-        for row in rows:
-            click.echo(f"{row['feature']},{year},{row['predicted_pct']},{row['estimated_pct']},{row['error_pp']}")
-        click.echo(f"mean_absolute_error,{year},,,{_pp_text(mae)}")
+        _echo_csv(
+            ["feature", "year", "predicted_pct", "estimated_pct", "error_pp"],
+            [[r["feature"], year, r["predicted_pct"], r["estimated_pct"], r["error_pp"]] for r in rows]
+            + [["mean_absolute_error", year, "", "", _pp_text(mae)]],
+        )
     else:
         click.echo(_table(
             ["Feature", "Predicted %", "Estimated %", "Error (pp)"],
-            [[FeatureId(r["feature"]).display_name, r["predicted_pct"], r["estimated_pct"], r["error_pp"]] for r in rows],
+            [[f.display_name, r["predicted_pct"], r["estimated_pct"], r["error_pp"]] for f, r in zip(shared, rows)],
         ))
         click.echo(f"\nMean absolute error: {_pp_text(mae)} pp")
 
-
-if __name__ == "__main__":
-    main()

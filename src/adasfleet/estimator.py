@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 from .catalog import Availability, FeatureId, MANDATE_ANNOUNCED, PRIORITY_FEATURES
 from .datasets import ActivationTable, AdoptionSeries, FleetSeries, VehicleRecord
-from .errors import EmptyCohort, InsufficientData, NoCandidateQualifies, YearNotInSeries
+from .errors import AdasFleetError, EmptyCohort, InsufficientData, NoCandidateQualifies, YearNotInSeries
 
 
 class CautionKind(Enum):
@@ -25,6 +25,15 @@ class CautionKind(Enum):
     LONG_LAG = "long_lag"
     OPTIONAL_SHARE_DIVERGENCE = "optional_share_divergence"
     SMALL_OVERLAP = "small_overlap"
+
+
+# What each kind of caution means, as the table's legend prints it.
+CAUTION_NOTES = {
+    CautionKind.ANALOG_UNDER_MANDATE: "analog series read from a year at or after its mandate announcement",
+    CautionKind.LONG_LAG: "lag exceeds the long-lag threshold (years)",
+    CautionKind.OPTIONAL_SHARE_DIVERGENCE: "standard/optional mix differs at the matched years (pp)",
+    CautionKind.SMALL_OVERLAP: "match rests on few overlapping years",
+}
 
 
 @dataclass(frozen=True)
@@ -79,7 +88,6 @@ class Provenance:
     lag_years: int | None = None
 
     def render(self) -> str:
-        # Comma-free so the value can sit in a no-quoting CSV cell.
         if self.kind is ProvenanceKind.DIRECT_FLEET_SERIES:
             return self.kind.value
         return f"{self.kind.value}({self.analog.value}:{self.lag_years})"
@@ -117,7 +125,7 @@ class PenetrationEstimate:
     cautions: frozenset[CautionFlag]
 
     def __post_init__(self):
-        expected = _round_half_up_pct(Fraction(self.equipped_pct * self.activation_pct, 10000))
+        expected = compose_activated(Fraction(self.equipped_pct, 100), Fraction(self.activation_pct, 100))[2]
         if self.activated_of_fleet_pct != expected:
             raise ValueError(
                 f"activated_of_fleet_pct {self.activated_of_fleet_pct} must equal "
@@ -298,16 +306,16 @@ def estimate_table(
     activation: ActivationTable,
     config: EstimatorConfig = DEFAULT_CONFIG,
 ) -> list[PenetrationEstimate]:
-    """One penetration estimate per priority feature, in report order."""
+    """One penetration estimate per priority feature, in report order; the activation table must cover each."""
+    missing = activation.missing_priority()
+    if missing:
+        raise AdasFleetError(f"activation table lacks entries for: {', '.join(f.value for f in missing)}")
     estimates = []
     for feature in PRIORITY_FEATURES:
-        entry = activation.entries.get(feature)
-        if entry is None:
-            raise InsufficientData(feature, year, "no activation rate entry")
         equipped = estimate_equipped(
             feature, year, fleet_series_set, adoption_series_set, fars_series_set, config
         )
-        equipped_pct, activation_pct, activated_pct = compose_activated(equipped.rate, entry.rate)
+        equipped_pct, activation_pct, activated_pct = compose_activated(equipped.rate, activation.entries[feature].rate)
         estimates.append(
             PenetrationEstimate(
                 feature=feature,

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import os
 import random
@@ -46,10 +48,16 @@ def make_vin(serial: int, year_code: str = "M") -> str:
     return draft[:8] + compute_check_digit(draft) + draft[9:]
 
 
+def csv_rows(text: str) -> list[list[str]]:
+    """The records of a CSV output; every one must be as wide as the header."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert [len(row) for row in rows] == [len(rows[0])] * len(rows), rows
+    return rows
+
+
 def parse_csv(text: str) -> list[dict]:
-    lines = [l for l in text.strip().splitlines() if l]
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    header, *rows = csv_rows(text)
+    return [dict(zip(header, row)) for row in rows]
 
 
 class TestDecode:
@@ -85,6 +93,17 @@ class TestDecode:
         result = runner.invoke(main, ["decode", "--strict-vin", "--file", str(source), "--format", "csv"])
         assert result.exit_code == 0
         assert [row["vin"] for row in parse_csv(result.stdout)] == vins
+
+    def test_csv_quotes_a_status_holding_a_comma(self, runner):
+        """The length and check-digit texts hold a comma; each row still parses to the JSON row's seven cells."""
+        vins = ["BADVIN", "1HGCM82633A004353"]
+        result = runner.invoke(main, ["decode", *vins, "--format", "csv"])
+        assert result.exit_code == 0
+        rows = csv_rows(result.stdout)
+        assert len(rows[0]) == 7 and [row[0] for row in rows[1:]] == vins
+        assert rows[1][1] == "error: VIN must be 17 characters, got 6: 'BADVIN'"
+        as_json = runner.invoke(main, ["decode", *vins, "--format", "json"])
+        assert parse_csv(result.stdout) == json.loads(as_json.stdout)
 
     def test_no_vins_is_usage_error(self, runner):
         result = runner.invoke(main, ["decode"])
@@ -619,10 +638,13 @@ def vpic_caches(draw) -> dict[str, bytes | None]:
 
 @settings(max_examples=60, deadline=None)
 @given(cache=vpic_caches(), output_format=st.sampled_from(["table", "csv", "json"]))
+@example(cache={make_vin(0): json.dumps({"VIN": make_vin(0), "Model Year": "2021", "Make": "Acme, Inc.",
+                                         "Model": 'the "one"\rtwo'}).encode()}, output_format="csv")
 def test_decode_on_any_cached_document_ends_in_one_error_line_or_a_row_per_vin(cache, output_format):
     """Whatever the cache holds, `decode` ends within the deadline in exit 0
     with one row per VIN, or in exit 1 with one `error:` line; never in a
-    traceback. A timer signal interrupts a run at the deadline, as above."""
+    traceback. A timer signal interrupts a run at the deadline, as above.
+    CSV output parses back into one seven-cell row per VIN, whatever the cells hold."""
     previous = signal.signal(signal.SIGALRM, overran)
     signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
     try:
@@ -640,6 +662,9 @@ def test_decode_on_any_cached_document_ends_in_one_error_line_or_a_row_per_vin(c
         assert result.stderr == ""
         if output_format == "json":
             assert [row["vin"] for row in json.loads(result.stdout)] == list(cache)
+        elif output_format == "csv":
+            rows = csv_rows(result.stdout)
+            assert len(rows[0]) == 7 and [row[0] for row in rows] == ["vin", *cache]
         else:
             assert result.stdout.startswith("vin")
     else:
@@ -694,6 +719,36 @@ class TestIngest:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
+    def test_activation_file_without_every_priority_feature_is_noted(self, runner, tmp_path):
+        path = tmp_path / "activation.csv"
+        path.write_text(
+            "feature,rate,source,donor\nadaptive_cruise_control,0.57,observed,\n"
+            "lane_centering_assist,0.57,assumed_from_similar,adaptive_cruise_control\n", encoding="utf-8",
+        )
+        result = runner.invoke(main, ["ingest", "--kind", "activation", str(path)])
+        assert result.exit_code == 0
+        assert result.stdout == "ok: 2 activation entries\n"
+        assert result.stderr == (
+            "note: no entry for automatic_emergency_braking, forward_collision_prevention, "
+            "lane_departure_prevention, pedestrian_automatic_emergency_braking\n"
+        )
+
+    @pytest.mark.parametrize("kind, text, error", [
+        ("activation", "adaptive_cruise_control,abc,observed,\n",
+         "error: row 2: rate 'abc' is not a decimal fraction"),
+        ("activation", "adaptive_cruise_control,0.5,observed,\nadaptive_cruise_control,0.6,observed,\n",
+         "error: row 3: duplicate activation entry for adaptive_cruise_control"),
+        ("catalog", "acme,m00,1979,lane_centering_assist,standard\n",
+         "error: row 2: model_year 1979 predates 17-character VINs"),
+    ])
+    def test_bad_row_is_one_error_line_naming_it(self, runner, tmp_path, kind, text, error):
+        header = {"activation": "feature,rate,source,donor", "catalog": "make,model,model_year,feature,availability"}
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(f"{header[kind]}\n{text}", encoding="utf-8")
+        result = runner.invoke(main, ["ingest", "--kind", kind, str(path)])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert result.stderr.splitlines() == [error]
+
     def test_fars_reports_warnings(self, runner, tmp_path):
         path = tmp_path / "fars.csv"
         path.write_text("vin,crash_year,make,model\nNOTAVIN,2021,acme,m00\n", encoding="utf-8")
@@ -746,6 +801,39 @@ class TestReportForecast:
         predicted, estimated = self.write_pair(tmp_path, "0.20", "0.22")
         result = runner.invoke(main, ["report-forecast", str(predicted), str(estimated), "--year", "2022"])
         assert "Mean absolute error: 1.0 pp" in result.stdout
+
+    def test_json_format(self, runner, tmp_path):
+        """A whole-number percentage, such as a rate of 1, still shows one decimal place."""
+        predicted, estimated = self.write_pair(tmp_path, "1", "0.95")
+        result = runner.invoke(main, ["report-forecast", str(predicted), str(estimated), "--year", "2022", "--format", "json"])
+        assert result.exit_code == 0 and result.stderr == ""
+        assert result.stdout == """{
+  "year": 2022,
+  "rows": [
+    {
+      "feature": "lane_departure_warning",
+      "predicted_pct": "100.0",
+      "estimated_pct": "95.0",
+      "error_pp": "5.0"
+    },
+    {
+      "feature": "rear_parking_sensors",
+      "predicted_pct": "15.0",
+      "estimated_pct": "15.0",
+      "error_pp": "0.0"
+    }
+  ],
+  "mean_absolute_error_pp": "2.5"
+}
+"""
+
+    def test_files_with_no_feature_in_common_are_one_error_line(self, runner, tmp_path):
+        predicted, estimated = tmp_path / "predicted.csv", tmp_path / "estimated.csv"
+        predicted.write_text("feature,calendar_year,equipped_frac\nlane_departure_warning,2022,0.2\n", encoding="utf-8")
+        estimated.write_text("feature,calendar_year,equipped_frac\nrear_parking_sensors,2022,0.2\n", encoding="utf-8")
+        result = runner.invoke(main, ["report-forecast", str(predicted), str(estimated), "--year", "2022"])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert result.stderr == "error: the two files have no feature in common\n"
 
 
 def test_console_entry_point_runs():

@@ -17,7 +17,7 @@ from adasfleet.datasets import (
     VehicleRecord,
     FleetSeries,
 )
-from adasfleet.errors import EmptyCohort, InsufficientData, NoCandidateQualifies, YearNotInSeries
+from adasfleet.errors import AdasFleetError, EmptyCohort, InsufficientData, NoCandidateQualifies, YearNotInSeries
 from adasfleet.estimator import (
     CautionKind,
     EstimatorConfig,
@@ -513,11 +513,15 @@ class TestEstimateTable:
     def test_missing_activation_entry_names_feature(self):
         entries = dict(self.activation.entries)
         del entries[PAEB]
-        with pytest.raises(InsufficientData, match="pedestrian_automatic_emergency_braking"):
+        message = "^activation table lacks entries for: pedestrian_automatic_emergency_braking$"
+        with pytest.raises(AdasFleetError, match=message):
             estimate_table(
                 2022, self.full_fleet(), TestEstimateEquipped.adoption, TestEstimateEquipped.fars,
                 ActivationTable(entries),
             )
+
+    def test_every_caution_kind_has_a_legend_note(self):
+        assert set(estimator.CAUTION_NOTES) == set(CautionKind)
 
 
 class TestForecastError:

@@ -117,6 +117,12 @@ class TestNormalize:
         assert mapping[ACC_VAR] is FeatureId.ADAPTIVE_CRUISE_CONTROL
         assert mapping[LCA_VAR] is FeatureId.LANE_CENTERING_ASSIST
 
+    def test_variable_map_row_without_a_name_is_rejected(self, tmp_path):
+        source = tmp_path / "variables.csv"
+        source.write_text("variable,feature\n,adaptive_cruise_control\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="^row 2: variable name is empty$"):
+            load_variable_map(source)
+
 
 class TestFixtureCache:
     def test_interrupted_store_leaves_no_partial_document(self, tmp_path, monkeypatch):
