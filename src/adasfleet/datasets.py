@@ -10,13 +10,16 @@ exact integer ratios.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .catalog import Catalog, FeatureId, PRIORITY_FEATURES, Availability, Table, at_row, feature_from_name, parse_year
+from .catalog import (
+    Catalog, FeatureId, PRIORITY_FEATURES, Availability, Table, at_row, feature_from_name, parse_year, text_lines,
+)
 from .errors import (
     BadEnumValue,
     DuplicateKey,
@@ -33,7 +36,6 @@ FLEET_HEADER = ("feature", "calendar_year", "equipped_frac")
 ACTIVATION_HEADER = ("feature", "rate", "source", "donor")
 FARS_REQUIRED_COLUMNS = ("vin", "crash_year")
 FARS_OPTIONAL_COLUMNS = ("make", "model", "model_year")
-_ALL_FEATURES = tuple(FeatureId)  # iterating the Enum class itself runs a Python-level generator per row
 
 
 def _parse_fraction(text: str, column: str) -> Decimal:
@@ -129,9 +131,30 @@ class VehicleRecord:
     error_text: str | None = None
 
 
+class CrashRecords(Sequence):
+    """The rows of one crash file as VehicleRecords, in file order. `len` is the row count, and
+    `by_key` maps each vehicle key (make, model, model year) to (flags, rows). The records are
+    built only when one is first read, by the row reader reading the source again."""
+
+    def __init__(self, source, by_key: dict[tuple, tuple[dict[FeatureId, Availability], int]], rows: int):
+        self.source, self.by_key, self.rows, self._records = source, by_key, rows, None
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, index):
+        if self._records is None:
+            rows = list(_crash_rows(self.source, []))
+            if len(rows) != self.rows or any(key not in self.by_key for _, _, key in rows):
+                raise SchemaError(f"{self.source} changed after it was read")
+            self._records = [VehicleRecord(vin_text.upper(), crash_year, key[2], dict(self.by_key[key][0]))
+                             for vin_text, crash_year, key in rows]
+        return self._records[index]
+
+
 @dataclass(frozen=True)
 class FarsIngest:
-    records: list[VehicleRecord]
+    records: CrashRecords
     warnings: list[str]
 
 
@@ -195,14 +218,11 @@ def ingest_activation_csv(source) -> ActivationTable:
     return ActivationTable(entries)
 
 
-def ingest_fars_csv(source, catalog: Catalog) -> FarsIngest:
-    """Crash vehicle rows, parsed leniently: bad rows become warnings, never drops.
-
-    Feature flags resolve through the catalog when make, model, and model year
-    are all known (model year from the VIN, unless overridden by a column).
-    """
-    records: list[VehicleRecord] = []
-    warnings: list[str] = []
+def _crash_rows(source, warnings: list[str]):
+    """The one crash-row reader: (VIN text, crash year, vehicle key) per row, parsed leniently,
+    with each row's warnings appended to `warnings`. The key is (make, model, model year), the
+    model year from the VIN unless a model_year column overrides it, or ("", "", model year)
+    when the make, the model or the model year is missing."""
     with Table(source, FARS_REQUIRED_COLUMNS, FARS_OPTIONAL_COLUMNS) as table:
         for vin_text, crash_text, make, model, year_text in table:
             crash_year = parse_year(crash_text, "crash_year")
@@ -221,28 +241,42 @@ def ingest_fars_csv(source, catalog: Catalog) -> FarsIngest:
                     warnings.append(at_row(table.lineno, exc))
                     row_warned = True
 
-            flags: dict[FeatureId, Availability] = {}
-            if make and model and model_year is not None:
-                flags = {f: catalog.lookup_availability(make, model, model_year, f) for f in _ALL_FEATURES}
-            elif "make" in table.header and "model" in table.header and not row_warned:
-                # The file promises identity columns, so an unresolvable row is an anomaly.
-                warnings.append(at_row(
-                    table.lineno, f"cannot resolve features for {vin_text!r} (missing make/model/model_year)"
-                ))
-            records.append(VehicleRecord(vin_text.upper(), crash_year, model_year, flags))
-    return FarsIngest(records, warnings)
+            key = (make, model, model_year)
+            if not (make and model and model_year is not None):
+                key = ("", "", model_year)
+                if "make" in table.header and "model" in table.header and not row_warned:
+                    # The file promises identity columns, so an unresolvable row is an anomaly.
+                    warnings.append(at_row(
+                        table.lineno, f"cannot resolve features for {vin_text!r} (missing make/model/model_year)"
+                    ))
+            yield vin_text, crash_year, key
 
 
-def _cohort_counts(records: list[VehicleRecord], feature: FeatureId) -> dict[int | None, list[int]]:
-    """Model year -> [standard, optional, known] for one feature, from one tally of (model year, flag) pairs.
+def ingest_fars_csv(source, catalog: Catalog) -> FarsIngest:
+    """Crash vehicle rows, parsed leniently: bad rows become warnings, never drops. The rows are
+    only counted per vehicle key, and each key's feature flags resolve once through the catalog."""
+    if not isinstance(source, (str, Path)):  # an open stream is read once; `records` reads its kept lines
+        source = [line + "\n" for line in text_lines(source)]
+    warnings: list[str] = []
+    counts = Counter(key for _, _, key in _crash_rows(source, warnings))
+    lookup = catalog.lookup_availability
+    by_key = {key: ({f: lookup(*key, f) for f in FeatureId} if key[0] else {}, n) for key, n in counts.items()}
+    return FarsIngest(CrashRecords(source, by_key, sum(counts.values())), warnings)
+
+
+def _cohort_counts(records: Sequence[VehicleRecord], feature: FeatureId) -> dict[int | None, list[int]]:
+    """Model year -> [standard, optional, known] for one feature, from (model year, flags, rows)
+    entries: one per vehicle key of `CrashRecords`, one per record of any other sequence.
 
     Unknown flags are excluded from the denominator rather than counted as
     not-available, so pre-coverage vehicles cannot depress the fractions.
     """
-    unknown = Availability.UNKNOWN  # a local: an enum attribute load per record costs ten times more
-    tally = Counter((rec.model_year, rec.feature_flags.get(feature, unknown)) for rec in records)
+    entries = (((key[2], flags, n) for key, (flags, n) in records.by_key.items()) if isinstance(records, CrashRecords)
+               else ((rec.model_year, rec.feature_flags, 1) for rec in records))
+    unknown = Availability.UNKNOWN  # a local: an enum attribute load per entry costs ten times more
     counts: dict[int | None, list[int]] = {}
-    for (model_year, flag), n in tally.items():
+    for model_year, flags, n in entries:
+        flag = flags.get(feature, unknown)
         if flag is unknown:
             continue
         cohort = counts.setdefault(model_year, [0, 0, 0])
@@ -255,7 +289,7 @@ def _cohort_counts(records: list[VehicleRecord], feature: FeatureId) -> dict[int
 
 
 def fars_availability_fraction(
-    records: list[VehicleRecord], feature: FeatureId, model_year: int
+    records: Sequence[VehicleRecord], feature: FeatureId, model_year: int
 ) -> tuple[Fraction, Fraction, int]:
     """(standard, optional, n) over the model-year cohort with known flags."""
     standard, optional, known = _cohort_counts(records, feature).get(model_year, (0, 0, 0))
@@ -264,7 +298,7 @@ def fars_availability_fraction(
     return Fraction(standard, known), Fraction(optional, known), known
 
 
-def fars_adoption_series(records: list[VehicleRecord], feature: FeatureId) -> AdoptionSeries:
+def fars_adoption_series(records: Sequence[VehicleRecord], feature: FeatureId) -> AdoptionSeries:
     """Adoption series built from crash-cohort fractions, one point per model year seen."""
     counts = _cohort_counts(records, feature)
     counts.pop(None, None)

@@ -195,13 +195,7 @@ def match_lag(
     if divergence > OPTIONAL_DIVERGENCE_PP:
         cautions.add(CautionFlag(CautionKind.OPTIONAL_SHARE_DIVERGENCE, divergence))
     cautions |= _mandate_caution(candidate.feature, [y - lag for y in overlap])
-    return LagMatch(
-        analog=candidate.feature,
-        lag_years=lag,
-        distance=distance,
-        overlap_years=len(overlap),
-        cautions=frozenset(cautions),
-    )
+    return LagMatch(candidate.feature, lag, distance, len(overlap), frozenset(cautions))
 
 
 @dataclass(frozen=True)
@@ -312,21 +306,9 @@ def estimate_table(
         raise AdasFleetError(f"activation table lacks entries for: {', '.join(f.value for f in missing)}")
     estimates = []
     for feature in PRIORITY_FEATURES:
-        equipped = estimate_equipped(
-            feature, year, fleet_series_set, adoption_series_set, fars_series_set, config
-        )
-        equipped_pct, activation_pct, activated_pct = compose_activated(equipped.rate, activation.entries[feature].rate)
-        estimates.append(
-            PenetrationEstimate(
-                feature=feature,
-                year=year,
-                equipped_pct=equipped_pct,
-                activation_pct=activation_pct,
-                activated_of_fleet_pct=activated_pct,
-                equipped_provenance=equipped.provenance,
-                cautions=equipped.cautions,
-            )
-        )
+        equipped = estimate_equipped(feature, year, fleet_series_set, adoption_series_set, fars_series_set, config)
+        percents = compose_activated(equipped.rate, activation.entries[feature].rate)
+        estimates.append(PenetrationEstimate(feature, year, *percents, equipped.provenance, equipped.cautions))
     return estimates
 
 

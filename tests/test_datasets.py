@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from adasfleet.catalog import Availability, Catalog, FeatureId, load_catalog
+from adasfleet.catalog import PRIORITY_FEATURES, Availability, Catalog, FeatureId, load_catalog
 from adasfleet.cli import main
 from adasfleet.datasets import (
     ActivationSource,
@@ -32,7 +32,16 @@ from adasfleet.errors import (
 )
 from adasfleet.vin import compute_check_digit
 
-from oracles import oracle_cohort_counts, oracle_cohort_series, write_adoption_csv, write_fleet_csv
+from oracles import (
+    CHAR_VALUES,
+    YEAR_CODE_TABLE,
+    oracle_availability,
+    oracle_cohort_counts,
+    oracle_cohort_series,
+    oracle_model_year,
+    write_adoption_csv,
+    write_fleet_csv,
+)
 
 ACC = FeatureId.ADAPTIVE_CRUISE_CONTROL
 LCA = FeatureId.LANE_CENTERING_ASSIST
@@ -292,6 +301,27 @@ class TestFarsIngestion:
         assert [(r.crash_year, r.model_year) for r in result.records] == [(2021, 2021)]
         assert result.warnings == []
 
+    def test_records_from_an_open_stream_equal_those_from_its_path(self, tmp_path):
+        rows = ["vin,crash_year,make,model", f"{vin_for_year_code('M', 19)},2021,ACME,Alpha", "NOTAVIN,2021,acme,",
+                f"{vin_for_year_code('U', 21)},2022,acme,alpha", f"{vin_for_year_code('L', 23)},2021,zeta,omega"]
+        path = write(tmp_path, "fars.csv", "\ufeff" + "\r\n".join(rows) + "\r\n")
+        catalog = catalog_for(["acme,alpha,2021,lane_centering_assist,standard"])
+        from_path = ingest_fars_csv(path, catalog)
+        with open(path, encoding="utf-8", newline="") as stream:
+            from_stream = ingest_fars_csv(stream, catalog)
+        assert len(from_stream.records) == len(from_path.records) == 4
+        assert from_stream.warnings == from_path.warnings
+        assert list(from_stream.records) == list(from_path.records)
+        assert from_stream.records[0].feature_flags[LCA] is Availability.STANDARD
+
+    def test_records_of_a_file_changed_after_its_ingest_are_an_error(self, tmp_path):
+        path = write(tmp_path, "fars.csv", f"vin,crash_year,make,model\n{vin_for_year_code('M', 25)},2021,acme,alpha\n")
+        result = ingest_fars_csv(path, Catalog(()))
+        path.write_text(f"vin,crash_year,make,model\n{vin_for_year_code('M', 25)},2021,acme,beta\n", encoding="utf-8")
+        assert len(result.records) == 1
+        with pytest.raises(SchemaError, match="changed after it was read"):
+            result.records[0]
+
 
 def cohort_record(feature_flags, model_year=2021):
     return VehicleRecord(vin="", crash_year=2021, model_year=model_year, feature_flags=feature_flags)
@@ -391,6 +421,96 @@ class TestCohortPassAgainstOracle:
                 assert str(exc_info.value) == (
                     f"no {feature.value} records with known availability for model year {year}"
                 )
+
+
+CRASH_MAKES = ("acme", "bolt")
+CRASH_MODELS = ("alpha", "beta")
+CASE_VARIANTS = (str.lower, str.upper, str.title)
+# 2012-2021 in the 2010-2039 cycle (position 7 is a letter), and three codes no model year has.
+CRASH_YEAR_CODES = "CDEFGHJKLM" + "UZ0"
+
+
+@st.composite
+def crash_files(draw):
+    """(catalog rows, crash CSV text): keys repeated under case variants, blank makes or models,
+    an optional model_year column, wrong check digits, U/Z/0 year codes and keys the catalog
+    lacks on both sides of the 2017 coverage floor."""
+    identities = st.tuples(st.sampled_from(CRASH_MAKES), st.sampled_from(CRASH_MODELS), st.integers(2012, 2021))
+    catalog_keys = draw(st.lists(identities, unique=True, max_size=6))
+    catalog_rows = []
+    for make, model, year in catalog_keys:
+        spelled = draw(st.sampled_from(CASE_VARIANTS))
+        for feature in draw(st.lists(st.sampled_from(list(FeatureId)), unique=True, max_size=4)):
+            availability = draw(st.sampled_from(["standard", "optional", "not_available"]))
+            catalog_rows.append((spelled(make), spelled(model), year, feature.value, availability))
+    with_year_column = draw(st.booleans())
+    lines = ["vin,crash_year,make,model" + (",model_year" if with_year_column else "")]
+    for serial in range(draw(st.integers(0, 30))):
+        vin = vin_for_year_code(draw(st.sampled_from(CRASH_YEAR_CODES)), serial)
+        if draw(st.integers(0, 9)) == 0:
+            vin = vin[:8] + ("X" if vin[8] != "X" else "0") + vin[9:]
+        make = draw(st.sampled_from(CASE_VARIANTS))(draw(st.sampled_from(CRASH_MAKES + ("",))))
+        model = draw(st.sampled_from(CASE_VARIANTS))(draw(st.sampled_from(CRASH_MODELS + ("",))))
+        cells = [vin, str(draw(st.integers(2021, 2023))), make, model]
+        if with_year_column:
+            cells.append(draw(st.sampled_from(["", "2013", "2016", "2017", "2020"])))
+        lines.append(",".join(cells))
+    return catalog_rows, "\n".join(lines) + "\n"
+
+
+def oracle_crash_records(catalog_rows, text):
+    """One record per crash row, from the row's cells, `oracle_model_year` and `oracle_availability` alone."""
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    records = []
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        vin = row["vin"]
+        model_year = None
+        if row.get("model_year"):
+            model_year = int(row["model_year"])
+        elif len(vin) == 17 and all(c in CHAR_VALUES for c in vin) and vin[9] in YEAR_CODE_TABLE:
+            model_year = oracle_model_year(vin[9], vin[6])
+        flags = {}
+        if row["make"] and row["model"] and model_year is not None:
+            flags = {f: Availability(oracle_availability(catalog_rows, row["make"], row["model"], model_year, f.value))
+                     for f in FeatureId}
+        records.append(VehicleRecord(vin.upper(), int(row["crash_year"]), model_year, flags))
+    return records
+
+
+class TestCrashFileAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(crash_file=crash_files())
+    def test_series_fractions_and_records_equal_the_per_row_oracle(self, crash_file, tmp_path_factory):
+        catalog_rows, text = crash_file
+        path = tmp_path_factory.mktemp("crash") / "fars.csv"
+        path.write_text(text, encoding="utf-8")
+        result = ingest_fars_csv(path, Catalog(
+            (make, model, year, FeatureId(feature), Availability(availability))
+            for make, model, year, feature, availability in catalog_rows
+        ))
+        expected = oracle_crash_records(catalog_rows, text)
+        for feature in PRIORITY_FEATURES:
+            series = oracle_cohort_series(expected, feature)
+            if series:
+                assert fars_adoption_series(result.records, feature).points == {
+                    y: AdoptionPoint(Fraction(s, n), Fraction(o, n)) for y, (s, o, n) in series.items()
+                }
+            else:
+                with pytest.raises(EmptyCohort):
+                    fars_adoption_series(result.records, feature)
+            for year in range(2012, 2022):
+                standard, optional, known = oracle_cohort_counts(expected, feature, year)
+                if known:
+                    assert fars_availability_fraction(result.records, feature, year) == (
+                        Fraction(standard, known), Fraction(optional, known), known
+                    )
+                else:
+                    with pytest.raises(EmptyCohort):
+                        fars_availability_fraction(result.records, feature, year)
+        assert len(result.records) == len(expected)
+        assert list(result.records) == expected
 
 
 def test_bundled_fixture_reproduces_published_fractions(bundled_dir):

@@ -1,0 +1,72 @@
+"""Exact work counts of `estimate` and `ingest --kind fars` on perfbench's generated `fars_140k`
+inputs at two small scales.
+
+Counts, unlike wall times, do not depend on the machine, so they can gate
+the per-row paths: one VIN parse per crash row, one catalog lookup per
+feature per distinct vehicle key, and no per-row record on the way to the
+table. Each bound is a formula over the generated crash file, which the test
+reads itself.
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from adasfleet import datasets
+from adasfleet.catalog import Catalog, FeatureId
+from adasfleet.cli import main
+
+from oracles import CHAR_VALUES, YEAR_CODE_TABLE, oracle_model_year
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def crash_file_work(path: Path) -> tuple[int, int]:
+    """(crash rows, distinct resolvable (make, model, model year) keys) of a `vin,crash_year,make,model` file."""
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line and not line.startswith("#")]
+    assert lines[0] == "vin,crash_year,make,model"
+    keys = set()
+    for line in lines[1:]:
+        vin, _, make, model = line.split(",")
+        if make and model and len(vin) == 17 and all(c in CHAR_VALUES for c in vin) and vin[9] in YEAR_CODE_TABLE:
+            keys.add((make, model, oracle_model_year(vin[9], vin[6])))
+    return len(lines) - 1, len(keys)
+
+
+def counting(monkeypatch, owner, name: str) -> list[int]:
+    """Replace `owner.name` with a wrapper that counts its calls; the count is the list's one item."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("args", [
+    ["estimate", "--year", "2022", "--format", "json"],
+    ["ingest", "--kind", "fars", "{data}/fars_vehicles.csv"],
+])
+@pytest.mark.parametrize("scale", [0.02, 0.04])
+def test_each_row_is_parsed_once_and_each_key_looked_up_once_per_feature(scale, args, tmp_path, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "perfbench"))
+        import gen
+    gen.generate("fars_140k", 1, tmp_path, scale=scale)
+    data = tmp_path / "data"
+    rows, keys = crash_file_work(data / "fars_vehicles.csv")
+    lookups = counting(monkeypatch, Catalog, "lookup_availability")
+    parses = counting(monkeypatch, datasets, "parse_vin_lenient")
+    records = counting(monkeypatch, datasets, "VehicleRecord")
+
+    result = CliRunner().invoke(main, ["--data-dir", str(data), *(a.format(data=data) for a in args)])
+
+    assert result.exit_code == 0, result.output
+    assert keys < rows  # the generated keys repeat, so per-row and per-key work differ
+    assert lookups[0] == keys * len(FeatureId)
+    assert parses[0] == rows
+    assert records[0] == 0
