@@ -18,7 +18,6 @@ from .catalog import (
 from .datasets import (
     ActivationEntry,
     ActivationSource,
-    ActivationTable,
     AdoptionPoint,
     AdoptionSeries,
     FarsIngest,

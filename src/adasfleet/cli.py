@@ -20,7 +20,7 @@ import click
 
 from . import datasets, estimator, vpic
 from .catalog import FeatureId, PRIORITY_FEATURES, Availability, load_catalog, text_lines
-from .datasets import ActivationTable, AdoptionSeries, FarsIngest, FleetSeries, bundled_data_dir
+from .datasets import ActivationEntry, AdoptionSeries, FarsIngest, FleetSeries, bundled_data_dir
 from .errors import AdasFleetError, EmptyCohort, IllegalYearCode
 from .estimator import CAUTION_NOTES, CautionFlag, EstimatorConfig, PenetrationEstimate
 from .vin import parse_vin_lenient
@@ -58,7 +58,7 @@ def resolve(data_dir: Path | None, kind: str) -> Path:
 class DataBundle:
     adoption: dict[FeatureId, AdoptionSeries]
     fleet: dict[FeatureId, FleetSeries]
-    activation: ActivationTable
+    activation: dict[FeatureId, ActivationEntry]
     fars: FarsIngest
 
 
@@ -292,9 +292,9 @@ def ingest(data_dir: Path | None, kind, source):
             if gaps:
                 click.echo(f"note: {gaps}", err=True)
     elif kind == "activation":
-        table = datasets.ingest_activation_csv(source)
-        click.echo(f"ok: {len(table.entries)} activation entries")
-        missing = table.missing_priority()
+        entries = datasets.ingest_activation_csv(source)
+        click.echo(f"ok: {len(entries)} activation entries")
+        missing = datasets.missing_activation(entries)
         if missing:
             click.echo(f"note: no entry for {', '.join(f.value for f in missing)}", err=True)
     elif kind == "catalog":

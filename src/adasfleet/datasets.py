@@ -109,14 +109,6 @@ class ActivationEntry:
             raise BadEnumValue("assumed_from_similar activation entries must name a donor feature")
 
 
-@dataclass(frozen=True)
-class ActivationTable:
-    entries: dict[FeatureId, ActivationEntry]
-
-    def missing_priority(self) -> list[FeatureId]:
-        return [f for f in PRIORITY_FEATURES if f not in self.entries]
-
-
 @dataclass(frozen=True, slots=True)
 class VehicleRecord:
     """One decoded vehicle: a crash-file row (the first four fields) or a vPIC
@@ -132,20 +124,21 @@ class VehicleRecord:
 
 
 class CrashRecords(Sequence):
-    """The rows of one crash file as VehicleRecords, in file order. `len` is the row count, and
-    `by_key` maps each vehicle key (make, model, model year) to (flags, rows). The records are
-    built only when one is first read, by the row reader reading the source again."""
+    """The rows of one crash file as VehicleRecords, in file order. `by_key` maps each vehicle key
+    (make, model, model year) to (flags, rows), and `len` is the sum of those rows. The records are
+    built only when one is first read, by the row reader reading the source again; a source whose
+    rows per key no longer equal `by_key`'s is a SchemaError."""
 
-    def __init__(self, source, by_key: dict[tuple, tuple[dict[FeatureId, Availability], int]], rows: int):
-        self.source, self.by_key, self.rows, self._records = source, by_key, rows, None
+    def __init__(self, source, by_key: dict[tuple, tuple[dict[FeatureId, Availability], int]]):
+        self.source, self.by_key, self._records = source, by_key, None
 
     def __len__(self) -> int:
-        return self.rows
+        return sum(n for _, n in self.by_key.values())
 
     def __getitem__(self, index):
         if self._records is None:
             rows = list(_crash_rows(self.source, []))
-            if len(rows) != self.rows or any(key not in self.by_key for _, _, key in rows):
+            if Counter(key for _, _, key in rows) != {key: n for key, (_, n) in self.by_key.items()}:
                 raise SchemaError(f"{self.source} changed after it was read")
             self._records = [VehicleRecord(vin_text.upper(), crash_year, key[2], dict(self.by_key[key][0]))
                              for vin_text, crash_year, key in rows]
@@ -198,7 +191,7 @@ def missing_years(series: AdoptionSeries | FleetSeries, kind: str) -> str:
     return f"{kind} series for {series.feature.value} is missing years {shown}{more}"
 
 
-def ingest_activation_csv(source) -> ActivationTable:
+def ingest_activation_csv(source) -> dict[FeatureId, ActivationEntry]:
     """Activation rates with their evidence class and, when assumed, the donor feature."""
     entries: dict[FeatureId, ActivationEntry] = {}
     with Table(source, ACTIVATION_HEADER) as table:
@@ -215,7 +208,12 @@ def ingest_activation_csv(source) -> ActivationTable:
             if feature in entries:
                 raise DuplicateKey(f"duplicate activation entry for {feature.value}")
             entries[feature] = ActivationEntry(rate, src, donor)
-    return ActivationTable(entries)
+    return entries
+
+
+def missing_activation(entries: dict[FeatureId, ActivationEntry]) -> list[FeatureId]:
+    """The priority features, in report order, that activation entries lack."""
+    return [f for f in PRIORITY_FEATURES if f not in entries]
 
 
 def _crash_rows(source, warnings: list[str]):
@@ -261,7 +259,7 @@ def ingest_fars_csv(source, catalog: Catalog) -> FarsIngest:
     counts = Counter(key for _, _, key in _crash_rows(source, warnings))
     lookup = catalog.lookup_availability
     by_key = {key: ({f: lookup(*key, f) for f in FeatureId} if key[0] else {}, n) for key, n in counts.items()}
-    return FarsIngest(CrashRecords(source, by_key, sum(counts.values())), warnings)
+    return FarsIngest(CrashRecords(source, by_key), warnings)
 
 
 def _cohort_counts(records: Sequence[VehicleRecord], feature: FeatureId) -> dict[int | None, list[int]]:

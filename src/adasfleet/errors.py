@@ -13,8 +13,7 @@ class VinError(AdasFleetError):
 
 class WrongLength(VinError):
     def __init__(self, text: str):
-        self.length = len(text)
-        super().__init__(f"VIN must be 17 characters, got {self.length}: {text!r}")
+        super().__init__(f"VIN must be 17 characters, got {len(text)}: {text!r}")
 
 
 class ForbiddenCharacter(VinError):
@@ -28,13 +27,11 @@ class CheckDigitMismatch(VinError):
     def __init__(self, expected: str, found: str, vin: str):
         self.expected = expected
         self.found = found
-        self.vin = vin
         super().__init__(f"check digit mismatch in {vin!r}: expected {expected!r}, found {found!r}")
 
 
 class IllegalYearCode(VinError):
     def __init__(self, code: str):
-        self.code = code
         super().__init__(f"{code!r} is not a legal model-year code")
 
 
@@ -78,15 +75,11 @@ class NoCandidateQualifies(AdasFleetError):
 
 class YearNotInSeries(AdasFleetError):
     def __init__(self, feature, year: int):
-        self.feature = feature
-        self.year = year
         super().__init__(f"series for {getattr(feature, 'value', feature)} has no year {year}")
 
 
 class InsufficientData(AdasFleetError):
     def __init__(self, feature, year: int, hint: str):
-        self.feature = feature
-        self.year = year
         self.hint = hint
         name = getattr(feature, "value", feature)
         super().__init__(f"cannot estimate {name} for {year}: {hint}")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .catalog import Availability, FeatureId, MANDATE_ANNOUNCED, PRIORITY_FEATURES
-from .datasets import ActivationTable, AdoptionSeries, FleetSeries, VehicleRecord
+from .datasets import ActivationEntry, AdoptionSeries, FleetSeries, VehicleRecord, missing_activation
 from .errors import AdasFleetError, EmptyCohort, InsufficientData, NoCandidateQualifies, YearNotInSeries
 
 
@@ -120,17 +120,12 @@ class PenetrationEstimate:
     year: int
     equipped_pct: int
     activation_pct: int
-    activated_of_fleet_pct: int
     equipped_provenance: Provenance
     cautions: frozenset[CautionFlag]
 
-    def __post_init__(self):
-        expected = compose_activated(Fraction(self.equipped_pct, 100), Fraction(self.activation_pct, 100))[2]
-        if self.activated_of_fleet_pct != expected:
-            raise ValueError(
-                f"activated_of_fleet_pct {self.activated_of_fleet_pct} must equal "
-                f"round_half_up({self.equipped_pct} x {self.activation_pct} / 100) = {expected}"
-            )
+    @property
+    def activated_of_fleet_pct(self) -> int:
+        return compose_activated(Fraction(self.equipped_pct, 100), Fraction(self.activation_pct, 100))[2]
 
 
 def _mandate_caution(analog: FeatureId, years_read: list[int]) -> frozenset[CautionFlag]:
@@ -297,17 +292,17 @@ def estimate_table(
     fleet_series_set: Mapping[FeatureId, FleetSeries],
     adoption_series_set: Mapping[FeatureId, AdoptionSeries],
     fars_series_set: Mapping[FeatureId, AdoptionSeries] | None,
-    activation: ActivationTable,
+    activation: Mapping[FeatureId, ActivationEntry],
     config: EstimatorConfig = DEFAULT_CONFIG,
 ) -> list[PenetrationEstimate]:
-    """One penetration estimate per priority feature, in report order; the activation table must cover each."""
-    missing = activation.missing_priority()
+    """One penetration estimate per priority feature, in report order; the activation entries must cover each."""
+    missing = missing_activation(activation)
     if missing:
         raise AdasFleetError(f"activation table lacks entries for: {', '.join(f.value for f in missing)}")
     estimates = []
     for feature in PRIORITY_FEATURES:
         equipped = estimate_equipped(feature, year, fleet_series_set, adoption_series_set, fars_series_set, config)
-        percents = compose_activated(equipped.rate, activation.entries[feature].rate)
+        percents = compose_activated(equipped.rate, activation[feature].rate)[:2]
         estimates.append(PenetrationEstimate(feature, year, *percents, equipped.provenance, equipped.cautions))
     return estimates
 

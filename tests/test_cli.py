@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import signal
 import subprocess
@@ -25,6 +26,8 @@ from adasfleet.datasets import ActivationSource, bundled_data_dir
 from adasfleet.estimator import EstimatorConfig
 from adasfleet.vin import compute_check_digit, encode_model_year
 from adasfleet.vpic import CacheMode, FixtureCache
+
+from oracles import data_dir_files, oracle_estimate_table
 
 ALL_ONES = "1" * 17
 
@@ -540,6 +543,27 @@ def data_dirs(draw) -> tuple[int, dict[str, str]]:
     return year, {name: "\n".join([header, *map(",".join, rows)]) + "\n" for name, (header, rows) in tables.items()}
 
 
+def check_estimate_against_oracle(result, files: dict[str, str], year: int, config: EstimatorConfig) -> None:
+    """An `estimate --format json` run against `oracle_estimate_table` on the same files and thresholds: on
+    exit 0, the same rows; on an exit 1 that names a feature it cannot estimate, the oracle serves every
+    feature before it in report order and not that one."""
+    failed = re.match(r"error: cannot estimate (\w+) for ", result.stderr)
+    if result.exit_code != 0 and not failed:  # a file the program rejects is no input for the oracle
+        return
+    expected = oracle_estimate_table(files, year, *dataclasses.astuple(config))
+    if result.exit_code == 0:
+        assert json.loads(result.stdout)["estimates"] == expected
+    else:
+        order = [f.value for f in PRIORITY_FEATURES]
+        assert None in expected and expected.index(None) == order.index(failed[1]), (failed[0], expected)
+
+
+def test_estimate_on_the_bundled_data_equals_the_oracle(runner):
+    for year in range(2016, 2025):
+        result = runner.invoke(main, ["estimate", "--year", str(year), "--format", "json"])
+        check_estimate_against_oracle(result, data_dir_files(bundled_data_dir()), year, EstimatorConfig())
+
+
 # Each estimate threshold flag and the least value it accepts.
 THRESHOLD_FLAGS = {"--max-lag": 0, "--min-overlap": 1, "--long-lag-threshold": 0}
 THRESHOLD = sometimes(st.none(), st.one_of(st.integers(-3, 30), st.sampled_from([-10**18, 10**9, 10**18])), 4)
@@ -550,15 +574,43 @@ def overran(signum, frame):
     raise TimeoutError(f"example overran its {DEADLINE_S}s deadline")
 
 
+def csv_text(header: str, *rows: str) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+# A data dir whose 2018 table turns on rules the generated ones seldom reach. Adaptive cruise control
+# matches electronic stability control at lag 10 over 2006-2008, tied at distance 0 with lane departure
+# warning at lag 12 and beaten only by rear parking sensors at lag 0, whose fleet series lacks 2018. The
+# analog years read start at 2006, the mandate's announcement. Automatic emergency braking composes 15%
+# (0.145) with 50% into 8%, where the unrounded 0.0725 gives 7%.
+RULE_EDGES = (2018, {
+    "adoption.csv": csv_text("feature,model_year,std_frac,opt_frac", *(
+        f"{feature},{first + i},{0.1 * (i + 1):.1f},0"
+        for feature, first in [("adaptive_cruise_control", 2016), ("rear_parking_sensors", 2016),
+                               ("electronic_stability_control", 2006), ("lane_departure_warning", 2004)]
+        for i in range(3))),
+    "fleet.csv": csv_text("feature,calendar_year,equipped_frac", "electronic_stability_control,2008,0.4",
+                          "lane_departure_warning,2006,0.3", "rear_parking_sensors,2010,0.5",
+                          "automatic_emergency_braking,2018,0.145",
+                          *(f"{f.value},2018,0.2" for f in PRIORITY_FEATURES[2:])),
+    "activation.csv": csv_text("feature,rate,source,donor", *(
+        f"{f.value},{0.5 if i == 1 else 0.57},observed," for i, f in enumerate(PRIORITY_FEATURES))),
+    "catalog.csv": csv_text("make,model,model_year,feature,availability"),
+    "fars_vehicles.csv": csv_text("vin,crash_year"),
+})
+
+
 @settings(max_examples=60, deadline=None)
 @given(data_dir=data_dirs(), output_format=st.sampled_from(["table", "csv", "json"]),
        thresholds=st.tuples(THRESHOLD, THRESHOLD, THRESHOLD))
+@example(data_dir=RULE_EDGES, output_format="json", thresholds=(None, None, None))
 def test_estimate_on_generated_data_ends_in_one_error_line_or_a_table(data_dir, output_format, thresholds):
     """Any data dir and any threshold flags end, within the deadline, in exit 0
     with a six-row table, or in exit 1 with one `error:` line; never in a
     traceback. A threshold below its flag's least value is a usage error,
     exit 2, whatever the data. Whenever `estimate` exits 0, `ingest` accepts
-    each file it read.
+    each file it read. Its JSON rows, or the feature it cannot estimate, are
+    those of `oracle_estimate_table`.
 
     A timer signal interrupts a run at the deadline, so a loop in Python code
     fails the example instead of hanging the suite.
@@ -575,6 +627,9 @@ def test_estimate_on_generated_data_ends_in_one_error_line_or_a_table(data_dir, 
             for name, text in files.items():
                 (Path(tmp) / name).write_text(text, encoding="utf-8")
             result = CliRunner().invoke(main, ["--data-dir", tmp, *args])
+            as_json = result
+            if output_format != "json" and result.exit_code == 0:
+                as_json = CliRunner().invoke(main, ["--data-dir", tmp, *args, "--format", "json"])
             ingested = {
                 kind: CliRunner().invoke(main, ["--data-dir", tmp, "ingest", "--kind", kind, str(Path(tmp) / name)])
                 for kind, name in DATA_FILES.items()
@@ -596,6 +651,11 @@ def test_estimate_on_generated_data_ends_in_one_error_line_or_a_table(data_dir, 
         assert result.exit_code == 1 and result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    if not below_minimum:
+        assert as_json.exit_code == result.exit_code
+        defaults = dataclasses.astuple(EstimatorConfig())
+        config = EstimatorConfig(*(d if v is None else v for v, d in zip(thresholds, defaults)))
+        check_estimate_against_oracle(as_json, files, year, config)
 
 
 # Any JSON value, as UTF-8 text: every type, nested, strings with lone surrogates,

@@ -22,6 +22,7 @@ from adasfleet.datasets import (
     ingest_adoption_csv,
     ingest_fars_csv,
     ingest_fleet_csv,
+    missing_activation,
 )
 from adasfleet.errors import (
     BadEnumValue,
@@ -33,12 +34,9 @@ from adasfleet.errors import (
 from adasfleet.vin import compute_check_digit
 
 from oracles import (
-    CHAR_VALUES,
-    YEAR_CODE_TABLE,
-    oracle_availability,
     oracle_cohort_counts,
     oracle_cohort_series,
-    oracle_model_year,
+    oracle_crash_records,
     write_adoption_csv,
     write_fleet_csv,
 )
@@ -203,14 +201,14 @@ class TestRoundTrip:
 
 class TestActivationIngestion:
     def test_bundled_table_loads_with_sources(self, bundled_dir):
-        table = ingest_activation_csv(bundled_dir / "activation.csv")
-        assert table.missing_priority() == []
-        assert table.entries[ACC].rate == Decimal("0.57")
-        assert table.entries[ACC].source is ActivationSource.OBSERVED
-        lca = table.entries[LCA]
+        entries = ingest_activation_csv(bundled_dir / "activation.csv")
+        assert missing_activation(entries) == []
+        assert entries[ACC].rate == Decimal("0.57")
+        assert entries[ACC].source is ActivationSource.OBSERVED
+        lca = entries[LCA]
         assert lca.source is ActivationSource.ASSUMED_FROM_SIMILAR
         assert lca.donor is ACC
-        assert table.entries[FeatureId.LANE_DEPARTURE_PREVENTION].source is ActivationSource.DISPUTED
+        assert entries[FeatureId.LANE_DEPARTURE_PREVENTION].source is ActivationSource.DISPUTED
 
     def test_assumed_requires_donor(self, tmp_path):
         path = write(tmp_path, "act.csv", "feature,rate,source,donor\nlane_centering_assist,0.57,assumed_from_similar,\n")
@@ -321,6 +319,17 @@ class TestFarsIngestion:
         assert len(result.records) == 1
         with pytest.raises(SchemaError, match="changed after it was read"):
             result.records[0]
+
+    def test_records_of_a_file_with_a_row_moved_to_another_key_are_an_error(self, data_dir_copy):
+        """The row count alone misses this change: the acme m01 row overwritten by a copy of the m00 row."""
+        path = data_dir_copy / "fars_vehicles.csv"
+        result = ingest_fars_csv(path, load_catalog(data_dir_copy / "catalog.csv"))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        m00 = next(line for line in lines if line.endswith(",acme,m00\n"))
+        path.write_text("".join(m00 if line.endswith(",acme,m01\n") else line for line in lines), encoding="utf-8")
+        assert len(result.records) == 100
+        with pytest.raises(SchemaError, match="changed after it was read"):
+            list(result.records)
 
 
 def cohort_record(feature_flags, model_year=2021):
@@ -458,25 +467,11 @@ def crash_files(draw):
     return catalog_rows, "\n".join(lines) + "\n"
 
 
-def oracle_crash_records(catalog_rows, text):
-    """One record per crash row, from the row's cells, `oracle_model_year` and `oracle_availability` alone."""
-    lines = text.splitlines()
-    header = lines[0].split(",")
-    records = []
-    for line in lines[1:]:
-        row = dict(zip(header, line.split(",")))
-        vin = row["vin"]
-        model_year = None
-        if row.get("model_year"):
-            model_year = int(row["model_year"])
-        elif len(vin) == 17 and all(c in CHAR_VALUES for c in vin) and vin[9] in YEAR_CODE_TABLE:
-            model_year = oracle_model_year(vin[9], vin[6])
-        flags = {}
-        if row["make"] and row["model"] and model_year is not None:
-            flags = {f: Availability(oracle_availability(catalog_rows, row["make"], row["model"], model_year, f.value))
-                     for f in FeatureId}
-        records.append(VehicleRecord(vin.upper(), int(row["crash_year"]), model_year, flags))
-    return records
+def expected_records(catalog_rows, text):
+    """One VehicleRecord per crash row of `oracle_crash_records`."""
+    rows = oracle_crash_records(catalog_rows, text, [f.value for f in FeatureId])
+    return [VehicleRecord(vin, crash_year, model_year, {FeatureId(f): Availability(a) for f, a in flags.items()})
+            for vin, crash_year, model_year, flags in rows]
 
 
 class TestCrashFileAgainstOracle:
@@ -490,7 +485,7 @@ class TestCrashFileAgainstOracle:
             (make, model, year, FeatureId(feature), Availability(availability))
             for make, model, year, feature, availability in catalog_rows
         ))
-        expected = oracle_crash_records(catalog_rows, text)
+        expected = expected_records(catalog_rows, text)
         for feature in PRIORITY_FEATURES:
             series = oracle_cohort_series(expected, feature)
             if series:

@@ -11,7 +11,6 @@ from adasfleet.catalog import Availability, FeatureId
 from adasfleet.datasets import (
     ActivationEntry,
     ActivationSource,
-    ActivationTable,
     AdoptionPoint,
     AdoptionSeries,
     VehicleRecord,
@@ -350,12 +349,12 @@ class TestCompose:
     @given(equipped=combined_fracs, activation=combined_fracs)
     def test_rounding_contract_holds(self, equipped, activation):
         ep, ap, share = compose_activated(equipped, activation)
-        PenetrationEstimate(
+        estimate = PenetrationEstimate(
             feature=ACC, year=2022, equipped_pct=ep, activation_pct=ap,
-            activated_of_fleet_pct=share,
             equipped_provenance=Provenance(ProvenanceKind.DIRECT_FLEET_SERIES),
             cautions=frozenset(),
         )
+        assert estimate.activated_of_fleet_pct == share
 
     @given(equipped=any_fracs, activation=any_fracs)
     @example(Fraction(5 * 10**37 - 1, 10**40), Decimal("0.00499999999999999999999999999999"))
@@ -365,14 +364,13 @@ class TestCompose:
         assert (ep, ap) == (oracle_half_up_pct(equipped), oracle_half_up_pct(activation))
         assert share == oracle_half_up_pct(Fraction(ep * ap, 10000))
 
-    def test_estimate_invariant_rejects_wrong_share(self):
-        with pytest.raises(ValueError):
-            PenetrationEstimate(
-                feature=ACC, year=2022, equipped_pct=16, activation_pct=57,
-                activated_of_fleet_pct=10,
-                equipped_provenance=Provenance(ProvenanceKind.DIRECT_FLEET_SERIES),
-                cautions=frozenset(),
-            )
+    def test_estimate_derives_its_share_from_the_two_percents(self):
+        estimate = PenetrationEstimate(
+            feature=ACC, year=2022, equipped_pct=16, activation_pct=57,
+            equipped_provenance=Provenance(ProvenanceKind.DIRECT_FLEET_SERIES),
+            cautions=frozenset(),
+        )
+        assert estimate.activated_of_fleet_pct == 9
 
 
 class TestEstimateEquipped:
@@ -472,7 +470,7 @@ class TestEstimateEquipped:
 
 
 class TestEstimateTable:
-    activation = ActivationTable({
+    activation = {
         ACC: ActivationEntry(Decimal("0.57"), ActivationSource.OBSERVED),
         FeatureId.AUTOMATIC_EMERGENCY_BRAKING: ActivationEntry(Decimal("0.93"), ActivationSource.OBSERVED),
         FeatureId.FORWARD_COLLISION_PREVENTION: ActivationEntry(Decimal("0.93"), ActivationSource.OBSERVED),
@@ -481,7 +479,7 @@ class TestEstimateTable:
         PAEB: ActivationEntry(
             Decimal("0.93"), ActivationSource.ASSUMED_FROM_SIMILAR, FeatureId.AUTOMATIC_EMERGENCY_BRAKING
         ),
-    })
+    }
 
     def full_fleet(self):
         fleet = dict(TestEstimateEquipped.fleet)
@@ -511,13 +509,13 @@ class TestEstimateTable:
             )
 
     def test_missing_activation_entry_names_feature(self):
-        entries = dict(self.activation.entries)
+        entries = dict(self.activation)
         del entries[PAEB]
         message = "^activation table lacks entries for: pedestrian_automatic_emergency_braking$"
         with pytest.raises(AdasFleetError, match=message):
             estimate_table(
                 2022, self.full_fleet(), TestEstimateEquipped.adoption, TestEstimateEquipped.fars,
-                ActivationTable(entries),
+                entries,
             )
 
     def test_every_caution_kind_has_a_legend_note(self):

@@ -22,6 +22,9 @@ from click.testing import CliRunner
 
 from adasfleet import vpic
 from adasfleet.cli import main
+from adasfleet.datasets import bundled_data_dir
+
+from oracles import data_dir_files, oracle_estimate_table
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden" / "scale"
@@ -87,3 +90,11 @@ def test_crash_cohort_rows_match_the_independent_reference(scale, monkeypatch):
     got = {r["feature"]: (r["equipped_pct"], r["activation_pct"], r["activated_of_fleet_pct"], r["provenance"])
            for r in rows if r["feature"] in expected}
     assert got == expected
+
+
+def test_estimate_equals_the_whole_table_oracle(scale):
+    data = scale[0] / "data"
+    result = CliRunner().invoke(main, ["--data-dir", str(data), "estimate", "--year", "2022", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    files = data_dir_files(data, bundled_data_dir())
+    assert json.loads(result.stdout)["estimates"] == oracle_estimate_table(files, 2022, 25, 1, 8)
