@@ -6,6 +6,8 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
+from io import DEFAULT_BUFFER_SIZE
+from operator import itemgetter
 from pathlib import Path
 from sys import intern
 from typing import Iterable, Mapping
@@ -175,11 +177,17 @@ def text_lines(source):
     One leading byte-order mark (U+FEFF), which some editors write, is dropped."""
     is_path = isinstance(source, (str, Path))
     try:
-        with (open(source, encoding="utf-8", newline="") if is_path else nullcontext(source)) as handle:
-            chunks = iter(handle)
-            yield from next(chunks, "").removeprefix("\ufeff").splitlines()
+        with (open(source, encoding="utf-8") if is_path else nullcontext(source)) as handle:
+            # Blocks of a file ("\r" and "\r\n" read as "\n") or lines of a stream; text through a "\n" splits alone.
+            chunks = iter(lambda: handle.read(DEFAULT_BUFFER_SIZE), "") if is_path else iter(handle)
+            rest = next(chunks, "").removeprefix("\ufeff")
             for chunk in chunks:
-                yield from chunk.splitlines()
+                cut = chunk.rfind("\n") + 1
+                if cut:
+                    yield from (rest + chunk[:cut]).splitlines()
+                    rest = ""
+                rest += chunk[cut:]
+            yield from rest.splitlines()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{source} is not UTF-8 text: {exc.reason}") from None
     except OSError as exc:
@@ -193,9 +201,9 @@ class Table:
     be as wide as the header. Blank and '#' comment lines are skipped. The
     header must be exactly `columns`, unless `optional` is given: then it must
     hold every name in `columns`, may hold those in `optional` and others, which
-    are ignored, and each row comes as the cells of `columns + optional`, ""
-    where absent. Iterate inside a `with` block: an AdasFleetError raised while
-    a row is handled leaves the block with the row's line number prefixed.
+    are ignored, and each row is a tuple of the cells of `columns + optional` (two
+    or more), "" where absent. Iterate inside a `with` block: an AdasFleetError
+    raised while a row is handled leaves the block with the row's line number prefixed.
     """
 
     def __init__(self, source, columns: tuple[str, ...], optional: tuple[str, ...] | None = None):
@@ -212,7 +220,7 @@ class Table:
         if isinstance(exc, AdasFleetError) and self.lineno is not None:
             exc.args = (at_row(self.lineno, exc),)
 
-    def _picks(self, header: list[str], line: str) -> list[int | None] | None:
+    def _picks(self, header: list[str], line: str) -> itemgetter | None:
         if self.optional is None:
             if tuple(header) != self.columns:
                 raise SchemaError(f"expected header {','.join(self.columns)!r}, got {line!r}")
@@ -224,23 +232,26 @@ class Table:
         for name in self.columns + self.optional:
             if header.count(name) > 1:  # which of them to read would be a guess
                 raise SchemaError(f"file must have one {name!r} column, got {header}")
-        return [index.get(name) for name in self.columns + self.optional]
+        # A missing column reads the "" that __iter__ puts after each row's cells.
+        return itemgetter(*[index.get(name, -1) for name in self.columns + self.optional])
 
     def __iter__(self):
-        picks = None
+        picks = width = None
         for lineno, line in enumerate(text_lines(self.source), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            cells = line.split(",")
+            # Of the ASCII characters str.strip removes, a splitlines() line can hold only these three.
+            if not line.isascii() or " " in line or "\t" in line or "\x1f" in line:
+                cells = list(map(str.strip, cells))
+            if cells[0][:1] in ("", "#") and line.strip()[:1] in ("", "#"):
                 continue
-            cells = list(map(str.strip, line.split(",")))
-            if self.header is None:
+            if width is None:
                 picks = self._picks(cells, line)
-                self.header = cells
+                self.header, width = cells, len(cells)
                 continue
             self.lineno = lineno
-            if len(cells) != len(self.header):
-                raise SchemaError(f"expected {len(self.header)} columns, got {len(cells)}")
-            yield cells if picks is None else [cells[i] if i is not None else "" for i in picks]
+            if len(cells) != width:
+                raise SchemaError(f"expected {width} columns, got {len(cells)}")
+            yield cells if picks is None else picks(cells + [""])
             self.lineno = None
         if self.header is None:
             raise SchemaError("file has no header row")
@@ -250,11 +261,16 @@ def load_catalog(source) -> Catalog:
     """Load an availability catalog CSV, rejecting duplicates and bad enums."""
 
     def rows(table):
+        years: dict[str, int] = {}  # each distinct year text, parsed and checked once
         for make, model, year_text, feature_text, avail_text in table:
-            model_year = parse_year(year_text, "model_year")
-            if model_year < 1980:
-                raise SchemaError(f"model_year {model_year} predates 17-character VINs")
-            yield make, model, model_year, feature_from_name(feature_text), availability_from_name(avail_text)
+            model_year = years.get(year_text)
+            if model_year is None:
+                model_year = years[year_text] = parse_year(year_text, "model_year")
+                if model_year < 1980:
+                    raise SchemaError(f"model_year {model_year} predates 17-character VINs")
+            # Cells come stripped, so a get finds every valid name; the parsers only word the errors.
+            yield (make, model, model_year, _FEATURES_BY_NAME.get(feature_text) or feature_from_name(feature_text),
+                   _CSV_AVAILABILITY.get(avail_text) or availability_from_name(avail_text))
 
     with Table(source, CATALOG_HEADER) as table:
         return Catalog(rows(table))

@@ -36,6 +36,7 @@ FLEET_HEADER = ("feature", "calendar_year", "equipped_frac")
 ACTIVATION_HEADER = ("feature", "rate", "source", "donor")
 FARS_REQUIRED_COLUMNS = ("vin", "crash_year")
 FARS_OPTIONAL_COLUMNS = ("make", "model", "model_year")
+_FEATURE_IDS = tuple(FeatureId)  # iterating the enum class runs a Python generator each time
 
 
 def _parse_fraction(text: str, column: str) -> Decimal:
@@ -56,7 +57,9 @@ class AdoptionPoint:
     opt: Decimal | Fraction
 
     def __post_init__(self):
-        if self.std < 0 or self.opt < 0 or self.std + self.opt > 1:
+        low, high = sorted((self.std, self.opt))
+        # Exact where a Decimal sum rounds: below one half, low + high < 1; above, Fraction(high) is small.
+        if low < 0 or high > 1 or (high >= Fraction(1, 2) and low > 1 - Fraction(high)):
             raise FractionOutOfRange(f"std {self.std} + opt {self.opt} must stay within [0, 1]")
 
     @property
@@ -221,9 +224,10 @@ def _crash_rows(source, warnings: list[str]):
     with each row's warnings appended to `warnings`. The key is (make, model, model year), the
     model year from the VIN unless a model_year column overrides it, or ("", "", model year)
     when the make, the model or the model year is missing."""
+    years: dict[str, int] = {}  # year text -> value; a text that parses in one column parses in both
     with Table(source, FARS_REQUIRED_COLUMNS, FARS_OPTIONAL_COLUMNS) as table:
         for vin_text, crash_text, make, model, year_text in table:
-            crash_year = parse_year(crash_text, "crash_year")
+            crash_year = years.get(crash_text) or years.setdefault(crash_text, parse_year(crash_text, "crash_year"))
             vin, warning = parse_vin_lenient(vin_text)
             row_warned = warning is not None
             if warning:
@@ -231,7 +235,7 @@ def _crash_rows(source, warnings: list[str]):
 
             model_year: int | None = None
             if year_text:
-                model_year = parse_year(year_text, "model_year")
+                model_year = years.get(year_text) or years.setdefault(year_text, parse_year(year_text, "model_year"))
             elif vin is not None:
                 try:
                     model_year = vin.model_year
@@ -258,7 +262,7 @@ def ingest_fars_csv(source, catalog: Catalog) -> FarsIngest:
     warnings: list[str] = []
     counts = Counter(key for _, _, key in _crash_rows(source, warnings))
     lookup = catalog.lookup_availability
-    by_key = {key: ({f: lookup(*key, f) for f in FeatureId} if key[0] else {}, n) for key, n in counts.items()}
+    by_key = {key: ({f: lookup(*key, f) for f in _FEATURE_IDS} if key[0] else {}, n) for key, n in counts.items()}
     return FarsIngest(CrashRecords(source, by_key), warnings)
 
 

@@ -25,6 +25,9 @@ _TRANSLITERATION.update(zip("JKLMN", range(1, 6)))
 _TRANSLITERATION.update({"P": 7, "R": 9})
 _TRANSLITERATION.update(zip("STUVWXYZ", range(2, 10)))
 
+# The same values by byte, for bytes.translate; 255 marks a byte not legal in a VIN.
+_VALUES = bytes(_TRANSLITERATION.get(chr(b), 255) for b in range(256))
+
 # Positional weights; position 9 (the check digit itself) has weight 0.
 _WEIGHTS = (8, 7, 6, 5, 4, 3, 2, 10, 0, 9, 8, 7, 6, 5, 4, 3, 2)
 
@@ -33,6 +36,8 @@ _WEIGHTS = (8, 7, 6, 5, 4, 3, 2, 10, 0, 9, 8, 7, 6, 5, 4, 3, 2)
 YEAR_CODES = "ABCDEFGHJKLMNPRSTVWXY123456789"
 _FIRST_CYCLE_BASE = 1980
 _CYCLE = len(YEAR_CODES)
+# Code -> (its 1980-2009 year, its 2010-2039 year).
+_YEARS = {code: (_FIRST_CYCLE_BASE + i, _FIRST_CYCLE_BASE + _CYCLE + i) for i, code in enumerate(YEAR_CODES)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +55,7 @@ class Vin:
     @property
     def model_year(self) -> int:
         """Decode the model year; raises IllegalYearCode for U/Z/0 codes."""
-        return decode_model_year(self.year_code, self.raw[6])
+        return decode_model_year(self.raw[9], self.raw[6])
 
 
 def _parse(text: str) -> tuple[Vin, str]:
@@ -62,12 +67,13 @@ def _parse(text: str) -> tuple[Vin, str]:
     text = text.strip().upper()
     if len(text) != VIN_LENGTH:
         raise WrongLength(text)
-    if not LEGAL_CHARS.issuperset(text):
+    # "replace" turns each non-ASCII character into one "?", an illegal byte, so the bytes line up with `text`.
+    values = text.encode("ascii", "replace").translate(_VALUES)
+    if 255 in values:
         for i, c in enumerate(text, start=1):
             if c not in LEGAL_CHARS:
                 raise ForbiddenCharacter(c, i)
-    remainder = sum(map(mul, map(_TRANSLITERATION.__getitem__, text), _WEIGHTS)) % 11
-    return Vin(text), "X" if remainder == 10 else str(remainder)
+    return Vin(text), "0123456789X"[sum(map(mul, values, _WEIGHTS)) % 11]
 
 
 def compute_check_digit(text: str) -> str:
@@ -98,21 +104,20 @@ def parse_vin_lenient(text: str) -> tuple[Vin | None, str | None]:
         vin, expected = _parse(text)
     except (WrongLength, ForbiddenCharacter) as exc:
         return None, str(exc)
-    if vin.check_digit != expected:
-        return vin, str(CheckDigitMismatch(expected, vin.check_digit, vin.raw))
+    if vin.raw[8] != expected:
+        return vin, str(CheckDigitMismatch(expected, vin.raw[8], vin.raw))
     return vin, None
 
 
 def decode_model_year(year_code: str, position7: str) -> int:
-    """Model year for a position-10 code.
+    """Model year for a position-10 code; anything but one legal code character is an IllegalYearCode.
 
     An alphabetic position 7 selects the 2010-2039 cycle, otherwise 1980-2009.
     """
-    index = YEAR_CODES.find(year_code)
-    if index < 0:
+    years = _YEARS.get(year_code)
+    if years is None:
         raise IllegalYearCode(year_code)
-    base = _FIRST_CYCLE_BASE + (_CYCLE if position7.isalpha() else 0)
-    return base + index
+    return years[position7.isalpha()]
 
 
 def encode_model_year(year: int) -> str:

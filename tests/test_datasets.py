@@ -63,6 +63,28 @@ class TestAdoptionIngestion:
         with pytest.raises(FractionOutOfRange, match="row 2"):
             ingest_adoption_csv(path)
 
+    @pytest.mark.parametrize("std, opt, over", [
+        ("0.5", "0.50000000000000000000000000001", True),  # the default 28-digit sum rounds to 1
+        ("0.50000000000000000000000000001", "0.5", True),
+        ("1", "1E-999999999", True),
+        ("5000000000e-1000000000", "1", True),
+        ("0.5", "0.5", False),
+        ("0.5", "0.49999999999999999999999999999999", False),
+        ("1E-999999999", "0.99", False),
+        ("0e999999999", "1", False),
+        ("0.3333333333333333333333333333333", "0.6666666666666666666666666666667", False),
+    ])
+    def test_fraction_sum_is_checked_exactly(self, tmp_path, std, opt, over):
+        path = write(tmp_path, "a.csv", f"feature,model_year,std_frac,opt_frac\nlane_keep_assist,2020,{std},{opt}\n")
+        result = CliRunner().invoke(main, ["ingest", "--kind", "adoption", str(path)])
+        if over:
+            assert result.exit_code == 1
+            assert result.output == f"error: row 2: std {Decimal(std)} + opt {Decimal(opt)} must stay within [0, 1]\n"
+        else:
+            assert result.exit_code == 0, result.output
+            point = ingest_adoption_csv(path)[FeatureId.LANE_KEEP_ASSIST].points[2020]
+            assert point == AdoptionPoint(Decimal(std), Decimal(opt))
+
     def test_header_only_is_empty(self, tmp_path):
         path = write(tmp_path, "a.csv", "feature,model_year,std_frac,opt_frac\n")
         assert ingest_adoption_csv(path) == {}

@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from adasfleet.errors import CheckDigitMismatch, ForbiddenCharacter, IllegalYearCode, WrongLength
@@ -16,7 +16,7 @@ from adasfleet.vin import (
     parse_vin_lenient,
 )
 
-from oracles import CHAR_VALUES, oracle_check_digit, oracle_first_forbidden, oracle_model_year
+from oracles import CHAR_VALUES, YEAR_CODE_TABLE, oracle_check_digit, oracle_first_forbidden, oracle_model_year
 
 ALL_ONES = "1" * 17
 ALL_ZEROS = "0" * 17
@@ -132,7 +132,8 @@ class TestModelYear:
     def test_m_with_digit_position7(self):
         assert decode_model_year("M", "1") == 1991
 
-    @pytest.mark.parametrize("code", ["Z", "U", "0", "I", "O", "Q"])
+    # The empty string and a code with more after it are not codes, though a substring search finds them.
+    @pytest.mark.parametrize("code", ["Z", "U", "0", "I", "O", "Q", "", "AB", "1A", "a"])
     def test_illegal_codes(self, code):
         with pytest.raises(IllegalYearCode):
             decode_model_year(code, "A")
@@ -149,9 +150,13 @@ class TestModelYear:
         assert old == set(range(1980, 2010))
         assert new == set(range(2010, 2040))
 
-    @given(st.sampled_from(YEAR_CODES), st.sampled_from(LEGAL))
+    @given(st.one_of(st.sampled_from(YEAR_CODES), st.text(max_size=3)), st.sampled_from(LEGAL))
     def test_agrees_with_published_table(self, code, position7):
-        assert decode_model_year(code, position7) == oracle_model_year(code, position7)
+        if code in YEAR_CODE_TABLE:
+            assert decode_model_year(code, position7) == oracle_model_year(code, position7)
+        else:
+            with pytest.raises(IllegalYearCode):
+                decode_model_year(code, position7)
 
     def test_encode_rejects_out_of_range(self):
         with pytest.raises(IllegalYearCode):
@@ -203,11 +208,13 @@ class TestAgainstOracle:
         st.builds(
             lambda left, body, right: left + body + right,
             st.text(alphabet=" \t\n\u00a0", max_size=2),
-            st.text(alphabet=LEGAL + list("abcxyz019ioqIOQéßıÅİ"), min_size=15, max_size=18),
+            st.text(alphabet=LEGAL + list("abcxyz019ioqIOQéßıÅİ\ud800"), min_size=15, max_size=18),
             st.text(alphabet=" \t\n\u00a0", max_size=2),
         ),
         valid_vins,
     ))
+    @example("Å" + "1" * 16)  # 17 characters, 18 bytes in UTF-8
+    @example("1111\ud800" + "1" * 12)  # a lone surrogate has no UTF-8 encoding
     def test_parse_agrees_with_naive_scan(self, text):
         normalized = text.strip().upper()
         forbidden = oracle_first_forbidden(normalized)
