@@ -10,7 +10,7 @@ exact integer ratios.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .catalog import (
-    Catalog, FeatureId, PRIORITY_FEATURES, Availability, Table, at_row, feature_from_name, parse_year, text_lines,
+    Catalog, FeatureId, PRIORITY_FEATURES, Availability, Table, at_row, feature_from_name, parse_year,
 )
 from .errors import (
     BadEnumValue,
@@ -114,8 +114,8 @@ class ActivationEntry:
 
 @dataclass(frozen=True, slots=True)
 class VehicleRecord:
-    """One decoded vehicle: a crash-file row (the first four fields) or a vPIC
-    decode (no crash year; make, model and, when the decode fell short, error_text)."""
+    """One decoded vehicle: a vPIC decode (no crash year; make, model and, when the decode fell
+    short, error_text) or a record built by hand. Crash files are read into `CrashRecords`."""
 
     vin: str
     crash_year: int | None
@@ -126,26 +126,15 @@ class VehicleRecord:
     error_text: str | None = None
 
 
-class CrashRecords(Sequence):
-    """The rows of one crash file as VehicleRecords, in file order. `by_key` maps each vehicle key
-    (make, model, model year) to (flags, rows), and `len` is the sum of those rows. The records are
-    built only when one is first read, by the row reader reading the source again; a source whose
-    rows per key no longer equal `by_key`'s is a SchemaError."""
+class CrashRecords:
+    """The rows of one crash file, counted per vehicle key: `by_key` maps each key (make, model,
+    model year) to (flags, rows), and `len` is the row count. No row's VIN or crash year is kept."""
 
-    def __init__(self, source, by_key: dict[tuple, tuple[dict[FeatureId, Availability], int]]):
-        self.source, self.by_key, self._records = source, by_key, None
+    def __init__(self, by_key: dict[tuple, tuple[dict[FeatureId, Availability], int]]):
+        self.by_key = by_key
 
     def __len__(self) -> int:
         return sum(n for _, n in self.by_key.values())
-
-    def __getitem__(self, index):
-        if self._records is None:
-            rows = list(_crash_rows(self.source, []))
-            if Counter(key for _, _, key in rows) != {key: n for key, (_, n) in self.by_key.items()}:
-                raise SchemaError(f"{self.source} changed after it was read")
-            self._records = [VehicleRecord(vin_text.upper(), crash_year, key[2], dict(self.by_key[key][0]))
-                             for vin_text, crash_year, key in rows]
-        return self._records[index]
 
 
 @dataclass(frozen=True)
@@ -220,14 +209,15 @@ def missing_activation(entries: dict[FeatureId, ActivationEntry]) -> list[Featur
 
 
 def _crash_rows(source, warnings: list[str]):
-    """The one crash-row reader: (VIN text, crash year, vehicle key) per row, parsed leniently,
-    with each row's warnings appended to `warnings`. The key is (make, model, model year), the
-    model year from the VIN unless a model_year column overrides it, or ("", "", model year)
-    when the make, the model or the model year is missing."""
+    """The one crash-row reader: the vehicle key of each row, parsed leniently, with each row's
+    warnings appended to `warnings`. The key is (make, model, model year), the model year from the
+    VIN unless a model_year column overrides it, or ("", "", model year) when the make, the model
+    or the model year is missing. Each crash year is checked, but its value is not kept."""
     years: dict[str, int] = {}  # year text -> value; a text that parses in one column parses in both
     with Table(source, FARS_REQUIRED_COLUMNS, FARS_OPTIONAL_COLUMNS) as table:
         for vin_text, crash_text, make, model, year_text in table:
-            crash_year = years.get(crash_text) or years.setdefault(crash_text, parse_year(crash_text, "crash_year"))
+            if crash_text not in years:
+                years[crash_text] = parse_year(crash_text, "crash_year")
             vin, warning = parse_vin_lenient(vin_text)
             row_warned = warning is not None
             if warning:
@@ -251,33 +241,35 @@ def _crash_rows(source, warnings: list[str]):
                     warnings.append(at_row(
                         table.lineno, f"cannot resolve features for {vin_text!r} (missing make/model/model_year)"
                     ))
-            yield vin_text, crash_year, key
+            yield key
 
 
 def ingest_fars_csv(source, catalog: Catalog) -> FarsIngest:
-    """Crash vehicle rows, parsed leniently: bad rows become warnings, never drops. The rows are
-    only counted per vehicle key, and each key's feature flags resolve once through the catalog."""
-    if not isinstance(source, (str, Path)):  # an open stream is read once; `records` reads its kept lines
-        source = [line + "\n" for line in text_lines(source)]
+    """Crash vehicle rows, parsed leniently: bad rows become warnings, never drops. The source is
+    read once and its rows only counted per vehicle key; each key's flags resolve once through the catalog."""
     warnings: list[str] = []
-    counts = Counter(key for _, _, key in _crash_rows(source, warnings))
+    counts = Counter(_crash_rows(source, warnings))
     lookup = catalog.lookup_availability
     by_key = {key: ({f: lookup(*key, f) for f in _FEATURE_IDS} if key[0] else {}, n) for key, n in counts.items()}
-    return FarsIngest(CrashRecords(source, by_key), warnings)
+    return FarsIngest(CrashRecords(by_key), warnings)
 
 
-def _cohort_counts(records: Sequence[VehicleRecord], feature: FeatureId) -> dict[int | None, list[int]]:
-    """Model year -> [standard, optional, known] for one feature, from (model year, flags, rows)
-    entries: one per vehicle key of `CrashRecords`, one per record of any other sequence.
+def cohort_entries(records: CrashRecords | Sequence[VehicleRecord]) -> Iterator[tuple]:
+    """(model year, flags, rows): one per vehicle key of `CrashRecords`, one per record of any other sequence."""
+    if isinstance(records, CrashRecords):
+        return ((key[2], flags, n) for key, (flags, n) in records.by_key.items())
+    return ((rec.model_year, rec.feature_flags, 1) for rec in records)
+
+
+def _cohort_counts(records: CrashRecords | Sequence[VehicleRecord], feature: FeatureId) -> dict[int | None, list[int]]:
+    """Model year -> [standard, optional, known] for one feature, summed over `cohort_entries`.
 
     Unknown flags are excluded from the denominator rather than counted as
     not-available, so pre-coverage vehicles cannot depress the fractions.
     """
-    entries = (((key[2], flags, n) for key, (flags, n) in records.by_key.items()) if isinstance(records, CrashRecords)
-               else ((rec.model_year, rec.feature_flags, 1) for rec in records))
     unknown = Availability.UNKNOWN  # a local: an enum attribute load per entry costs ten times more
     counts: dict[int | None, list[int]] = {}
-    for model_year, flags, n in entries:
+    for model_year, flags, n in cohort_entries(records):
         flag = flags.get(feature, unknown)
         if flag is unknown:
             continue
@@ -291,7 +283,7 @@ def _cohort_counts(records: Sequence[VehicleRecord], feature: FeatureId) -> dict
 
 
 def fars_availability_fraction(
-    records: Sequence[VehicleRecord], feature: FeatureId, model_year: int
+    records: CrashRecords | Sequence[VehicleRecord], feature: FeatureId, model_year: int
 ) -> tuple[Fraction, Fraction, int]:
     """(standard, optional, n) over the model-year cohort with known flags."""
     standard, optional, known = _cohort_counts(records, feature).get(model_year, (0, 0, 0))
@@ -300,7 +292,7 @@ def fars_availability_fraction(
     return Fraction(standard, known), Fraction(optional, known), known
 
 
-def fars_adoption_series(records: Sequence[VehicleRecord], feature: FeatureId) -> AdoptionSeries:
+def fars_adoption_series(records: CrashRecords | Sequence[VehicleRecord], feature: FeatureId) -> AdoptionSeries:
     """Adoption series built from crash-cohort fractions, one point per model year seen."""
     counts = _cohort_counts(records, feature)
     counts.pop(None, None)

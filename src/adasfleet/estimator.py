@@ -16,7 +16,9 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .catalog import Availability, FeatureId, MANDATE_ANNOUNCED, PRIORITY_FEATURES
-from .datasets import ActivationEntry, AdoptionSeries, FleetSeries, VehicleRecord, missing_activation
+from .datasets import (
+    ActivationEntry, AdoptionSeries, CrashRecords, FleetSeries, VehicleRecord, cohort_entries, missing_activation,
+)
 from .errors import AdasFleetError, EmptyCohort, InsufficientData, NoCandidateQualifies, YearNotInSeries
 
 
@@ -313,20 +315,15 @@ def forecast_error(predicted: FleetSeries, estimated: FleetSeries, year: int) ->
 
 
 def fleet_any_feature_share(
-    records: Sequence[VehicleRecord], features: set[FeatureId]
+    records: CrashRecords | Sequence[VehicleRecord], features: set[FeatureId]
 ) -> tuple[int, Fraction]:
-    """Count and share of records with any listed feature standard or optional.
+    """Count and share of vehicles with any listed feature standard or optional.
 
-    The denominator is all records, including those whose availability is
+    The denominator is all vehicles, including those whose availability is
     unknown, so the share is a floor on the true rate.
     """
     if not records:
         raise EmptyCohort("no records")
-    count = 0
-    for rec in records:
-        for feature in features:
-            flag = rec.feature_flags.get(feature)
-            if flag is Availability.STANDARD or flag is Availability.OPTIONAL:
-                count += 1
-                break
+    equipped = (Availability.STANDARD, Availability.OPTIONAL)
+    count = sum(n for _, flags, n in cohort_entries(records) if any(flags.get(f) in equipped for f in features))
     return count, Fraction(count, len(records))

@@ -408,6 +408,12 @@ class TestEstimate:
             "error: activation table lacks entries for: adaptive_cruise_control, lane_centering_assist\n"
         )
 
+    def test_bad_crash_year_is_one_error_line_naming_its_row(self, runner, data_dir_copy):
+        (data_dir_copy / "fars_vehicles.csv").write_text("vin,crash_year\n1ATCDEFG7MA000000,twenty\n", encoding="utf-8")
+        result = runner.invoke(main, ["--data-dir", str(data_dir_copy), "estimate", "--year", "2022"])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert result.stderr.splitlines() == ["error: row 2: crash_year 'twenty' is not an integer year"]
+
     def test_missing_year_option_is_usage_error(self, runner):
         result = runner.invoke(main, ["estimate"])
         assert result.exit_code == 2

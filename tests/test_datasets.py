@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from adasfleet.datasets import (
     ingest_fleet_csv,
     missing_activation,
 )
+from adasfleet.estimator import fleet_any_feature_share
 from adasfleet.errors import (
     BadEnumValue,
     DuplicateKey,
@@ -276,8 +278,10 @@ class TestFarsIngestion:
         vin = vin_for_year_code("M", 7)
         path = write(tmp_path, "fars.csv", f"vin,crash_year,make,model\n{vin},2021,acme,alpha\n")
         result = ingest_fars_csv(path, catalog_for(["acme,alpha,2021,lane_centering_assist,standard"]))
-        assert result.records[0].feature_flags[LCA] is Availability.STANDARD
-        assert result.records[0].model_year == 2021
+        assert list(result.records.by_key) == [("acme", "alpha", 2021)]
+        flags, rows = result.records.by_key["acme", "alpha", 2021]
+        assert flags[LCA] is Availability.STANDARD
+        assert (rows, len(result.records), result.warnings) == (1, 1, [])
 
     def test_missing_vin_column(self, tmp_path):
         path = write(tmp_path, "fars.csv", "vehicle,crash_year\nx,2021\n")
@@ -288,14 +292,15 @@ class TestFarsIngestion:
         vin = vin_for_year_code("M", 9)
         path = write(tmp_path, "fars.csv", f"vin,crash_year,make,model,model_year\n{vin},2021,acme,alpha,2019\n")
         result = ingest_fars_csv(path, Catalog(()))
-        assert result.records[0].model_year == 2019
+        assert [(key, rows) for key, (_, rows) in result.records.by_key.items()] == [(("acme", "alpha", 2019), 1)]
+        assert (len(result.records), result.warnings) == (1, [])
 
     def test_minimal_schema_gives_empty_flags_without_warnings(self, tmp_path):
         vin = vin_for_year_code("M", 11)
         path = write(tmp_path, "fars.csv", f"vin,crash_year\n{vin},2021\n")
         result = ingest_fars_csv(path, Catalog(()))
-        assert result.records[0].feature_flags == {}
-        assert len(result.warnings) == 0
+        assert result.records.by_key == {("", "", 2021): ({}, 1)}
+        assert (len(result.records), result.warnings) == (1, [])
 
     def test_accepted_plus_warned_covers_all_rows(self, tmp_path):
         rows = ["vin,crash_year", "BAD1,2021", "BAD2,2021", f"{vin_for_year_code('M', 13)},2021"]
@@ -318,8 +323,14 @@ class TestFarsIngestion:
     def test_ignored_column_may_repeat(self, tmp_path):
         path = write(tmp_path, "fars.csv", f"vin,crash_year,note,note\n{vin_for_year_code('M', 17)},2021,a,b\n")
         result = ingest_fars_csv(path, Catalog(()))
-        assert [(r.crash_year, r.model_year) for r in result.records] == [(2021, 2021)]
-        assert result.warnings == []
+        assert result.records.by_key == {("", "", 2021): ({}, 1)}
+        assert (len(result.records), result.warnings) == (1, [])
+
+    def test_bad_crash_year_is_an_error_naming_its_row(self, tmp_path):
+        path = write(tmp_path, "fars.csv", "vin,crash_year\n1ATCDEFG7MA000000,twenty\n")
+        with pytest.raises(SchemaError) as exc_info:
+            ingest_fars_csv(path, Catalog(()))
+        assert str(exc_info.value) == "row 2: crash_year 'twenty' is not an integer year"
 
     def test_records_from_an_open_stream_equal_those_from_its_path(self, tmp_path):
         rows = ["vin,crash_year,make,model", f"{vin_for_year_code('M', 19)},2021,ACME,Alpha", "NOTAVIN,2021,acme,",
@@ -331,27 +342,8 @@ class TestFarsIngestion:
             from_stream = ingest_fars_csv(stream, catalog)
         assert len(from_stream.records) == len(from_path.records) == 4
         assert from_stream.warnings == from_path.warnings
-        assert list(from_stream.records) == list(from_path.records)
-        assert from_stream.records[0].feature_flags[LCA] is Availability.STANDARD
-
-    def test_records_of_a_file_changed_after_its_ingest_are_an_error(self, tmp_path):
-        path = write(tmp_path, "fars.csv", f"vin,crash_year,make,model\n{vin_for_year_code('M', 25)},2021,acme,alpha\n")
-        result = ingest_fars_csv(path, Catalog(()))
-        path.write_text(f"vin,crash_year,make,model\n{vin_for_year_code('M', 25)},2021,acme,beta\n", encoding="utf-8")
-        assert len(result.records) == 1
-        with pytest.raises(SchemaError, match="changed after it was read"):
-            result.records[0]
-
-    def test_records_of_a_file_with_a_row_moved_to_another_key_are_an_error(self, data_dir_copy):
-        """The row count alone misses this change: the acme m01 row overwritten by a copy of the m00 row."""
-        path = data_dir_copy / "fars_vehicles.csv"
-        result = ingest_fars_csv(path, load_catalog(data_dir_copy / "catalog.csv"))
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        m00 = next(line for line in lines if line.endswith(",acme,m00\n"))
-        path.write_text("".join(m00 if line.endswith(",acme,m01\n") else line for line in lines), encoding="utf-8")
-        assert len(result.records) == 100
-        with pytest.raises(SchemaError, match="changed after it was read"):
-            list(result.records)
+        assert from_stream.records.by_key == from_path.records.by_key
+        assert from_stream.records.by_key[("ACME", "Alpha", 2021)][0][LCA] is Availability.STANDARD
 
 
 def cohort_record(feature_flags, model_year=2021):
@@ -527,7 +519,16 @@ class TestCrashFileAgainstOracle:
                     with pytest.raises(EmptyCohort):
                         fars_availability_fraction(result.records, feature, year)
         assert len(result.records) == len(expected)
-        assert list(result.records) == expected
+        weighted = Counter()
+        for (_, _, model_year), (flags, rows) in result.records.by_key.items():
+            weighted[model_year, frozenset(flags.items())] += rows
+        assert weighted == Counter((rec.model_year, frozenset(rec.feature_flags.items())) for rec in expected)
+        if expected:
+            assert fleet_any_feature_share(result.records, PRIORITY_FEATURES) == fleet_any_feature_share(
+                expected, PRIORITY_FEATURES)
+        else:
+            with pytest.raises(EmptyCohort):
+                fleet_any_feature_share(result.records, PRIORITY_FEATURES)
 
 
 def test_bundled_fixture_reproduces_published_fractions(bundled_dir):
@@ -538,3 +539,4 @@ def test_bundled_fixture_reproduces_published_fractions(bundled_dir):
     paeb = fars_availability_fraction(result.records, PAEB, 2021)
     assert lca == (Fraction(23, 100), Fraction(2, 100), 100)
     assert paeb == (Fraction(67, 100), Fraction(0, 1), 100)
+    assert fleet_any_feature_share(result.records, {LCA, PAEB}) == (67, Fraction(67, 100))

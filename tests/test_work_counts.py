@@ -4,9 +4,10 @@ inputs, and of `decode` on its `vpic_20k` inputs, each at two small scales.
 Counts, unlike wall times, do not depend on the machine, so they can gate
 the per-row paths: one VIN parse per crash row, one catalog lookup per
 feature per distinct vehicle key, no per-row record on the way to the
-table, and for `decode` one VIN parse per VIN, one cache read per
-structurally valid VIN and no cache write. Each bound is a formula over the
-generated input file, which the test reads itself.
+table, one read of each input file, and for `decode` one VIN parse per
+VIN, one cache read per structurally valid VIN and no cache write. Each
+bound is a formula over the generated input file, which the test reads
+itself.
 """
 
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from adasfleet import cli, datasets, vpic
+from adasfleet import catalog, cli, datasets, vpic
 from adasfleet.catalog import Catalog, FeatureId
 from adasfleet.cli import main
 
@@ -68,6 +69,7 @@ def test_each_row_is_parsed_once_and_each_key_looked_up_once_per_feature(scale, 
     lookups = counting(monkeypatch, Catalog, "lookup_availability")
     parses = counting(monkeypatch, datasets, "parse_vin_lenient")
     records = counting(monkeypatch, datasets, "VehicleRecord")
+    reads = counting(monkeypatch, catalog, "text_lines")
 
     result = CliRunner().invoke(main, ["--data-dir", str(data), *(a.format(data=data) for a in args)])
 
@@ -76,6 +78,8 @@ def test_each_row_is_parsed_once_and_each_key_looked_up_once_per_feature(scale, 
     assert lookups[0] == keys * len(FeatureId)
     assert parses[0] == rows
     assert records[0] == 0
+    # One read per input: catalog, adoption, fleet, activation, crash file; `ingest` reads the first and last.
+    assert reads[0] == {"estimate": 5, "ingest": 2}[args[0]]
 
 
 def vin_file_work(path: Path) -> tuple[int, int]:
