@@ -7,7 +7,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from io import DEFAULT_BUFFER_SIZE
-from operator import itemgetter
+from itertools import islice, repeat
 from pathlib import Path
 from sys import intern
 from typing import Iterable, Mapping
@@ -106,6 +106,7 @@ def absent_availability(model_year: int) -> Availability:
 
 
 CATALOG_HEADER = ("make", "model", "model_year", "feature", "availability")
+BATCH_ROWS = 1024  # data rows per `Table.batches` batch
 
 
 # The flags of a key the catalog does not hold; never mutated.
@@ -195,15 +196,15 @@ def text_lines(source):
 
 
 class Table:
-    """The data rows of one comma-separated file, streamed as lists of stripped cells.
+    """The data rows of one comma-separated file, streamed as tuples of stripped cells.
 
     No quoting: an embedded comma changes the column count, and every row must
     be as wide as the header. Blank and '#' comment lines are skipped. The
     header must be exactly `columns`, unless `optional` is given: then it must
     hold every name in `columns`, may hold those in `optional` and others, which
-    are ignored, and each row is a tuple of the cells of `columns + optional` (two
-    or more), "" where absent. Iterate inside a `with` block: an AdasFleetError
-    raised while a row is handled leaves the block with the row's line number prefixed.
+    are ignored, and each row holds the cells of `columns + optional`, "" where
+    absent. Iterate inside a `with` block: an AdasFleetError raised while a row
+    is handled leaves the block with the row's line number prefixed.
     """
 
     def __init__(self, source, columns: tuple[str, ...], optional: tuple[str, ...] | None = None):
@@ -220,11 +221,11 @@ class Table:
         if isinstance(exc, AdasFleetError) and self.lineno is not None:
             exc.args = (at_row(self.lineno, exc),)
 
-    def _picks(self, header: list[str], line: str) -> itemgetter | None:
+    def _picks(self, header: list[str], line: str) -> list[int]:
         if self.optional is None:
             if tuple(header) != self.columns:
                 raise SchemaError(f"expected header {','.join(self.columns)!r}, got {line!r}")
-            return None
+            return list(range(len(header)))
         index = {name: i for i, name in enumerate(header)}
         for name in self.columns:
             if name not in index:
@@ -232,29 +233,60 @@ class Table:
         for name in self.columns + self.optional:
             if header.count(name) > 1:  # which of them to read would be a guess
                 raise SchemaError(f"file must have one {name!r} column, got {header}")
-        # A missing column reads the "" that __iter__ puts after each row's cells.
-        return itemgetter(*[index.get(name, -1) for name in self.columns + self.optional])
+        # A missing column reads the blank column that batches() puts after the file's columns.
+        return [index.get(name, -1) for name in self.columns + self.optional]
 
-    def __iter__(self):
-        picks = width = None
-        for lineno, line in enumerate(text_lines(self.source), start=1):
-            cells = line.split(",")
-            # Of the ASCII characters str.strip removes, a splitlines() line can hold only these three.
-            if not line.isascii() or " " in line or "\t" in line or "\x1f" in line:
-                cells = list(map(str.strip, cells))
-            if cells[0][:1] in ("", "#") and line.strip()[:1] in ("", "#"):
-                continue
-            if width is None:
-                picks = self._picks(cells, line)
-                self.header, width = cells, len(cells)
-                continue
-            self.lineno = lineno
-            if len(cells) != width:
-                raise SchemaError(f"expected {width} columns, got {len(cells)}")
-            yield cells if picks is None else picks(cells + [""])
-            self.lineno = None
+    def batches(self):
+        """(line numbers, columns) of up to BATCH_ROWS data rows at a time, one sequence of cells per column read.
+        A clean block (ASCII, nothing str.strip removes, no '#' or blank line, every line as wide as the header)
+        is split with one str.split; any other is read line by line. The rows before a fault come first."""
+        lines, lineno, width = text_lines(self.source), 0, None
+        while True:
+            block, failure = [], None
+            try:
+                block.extend(islice(lines, BATCH_ROWS))
+            except SchemaError as exc:  # list.extend keeps the lines read before it
+                failure = exc
+            text = ",".join(block)
+            # Of the ASCII characters str.strip removes, a splitlines() line can hold only " ", "\t" and "\x1f".
+            if (width and text.isascii() and not any(c in text for c in " \t\x1f#") and "" not in block
+                    and set(map(str.count, block, repeat(","))) == {width - 1}):
+                cells = text.split(",")
+                numbers = range(lineno + 1, lineno + 1 + len(block))
+                columns = [cells[i::width] for i in range(width)]
+            else:
+                numbers, rows = [], []
+                for number, line in enumerate(block, start=lineno + 1):
+                    cells = line.split(",")
+                    if not line.isascii() or " " in line or "\t" in line or "\x1f" in line:
+                        cells = list(map(str.strip, cells))
+                    if cells[0][:1] in ("", "#") and line.strip()[:1] in ("", "#"):
+                        continue
+                    if width is None:
+                        picks = self._picks(cells, line)
+                        self.header, width = cells, len(cells)
+                    elif len(cells) != width:
+                        failure = SchemaError(at_row(number, f"expected {width} columns, got {len(cells)}"))
+                        break
+                    else:
+                        numbers.append(number)
+                        rows.append(cells)
+                columns = list(zip(*rows))
+            if numbers:
+                yield numbers, [(*columns, ("",) * len(numbers))[i] for i in picks]
+                self.lineno = None  # whichever row the caller handled last
+            if failure is not None:
+                raise failure
+            if not block:
+                break
+            lineno += len(block)
         if self.header is None:
             raise SchemaError("file has no header row")
+
+    def __iter__(self):
+        for numbers, columns in self.batches():
+            for self.lineno, row in zip(numbers, zip(*columns)):
+                yield row
 
 
 def load_catalog(source) -> Catalog:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import is_, not_
 from pathlib import Path
 
 from .catalog import (
@@ -29,7 +31,7 @@ from .errors import (
     SchemaError,
     YearNotInSeries,
 )
-from .vin import parse_vin_lenient
+from .vin import parse_vin_lenient, scan_batch
 
 ADOPTION_HEADER = ("feature", "model_year", "std_frac", "opt_frac")
 FLEET_HEADER = ("feature", "calendar_year", "equipped_frac")
@@ -208,47 +210,50 @@ def missing_activation(entries: dict[FeatureId, ActivationEntry]) -> list[Featur
     return [f for f in PRIORITY_FEATURES if f not in entries]
 
 
-def _crash_rows(source, warnings: list[str]):
-    """The one crash-row reader: the vehicle key of each row, parsed leniently, with each row's
-    warnings appended to `warnings`. The key is (make, model, model year), the model year from the
-    VIN unless a model_year column overrides it, or ("", "", model year) when the make, the model
-    or the model year is missing. Each crash year is checked, but its value is not kept."""
+def ingest_fars_csv(source, catalog: Catalog) -> FarsIngest:
+    """Crash vehicle rows, parsed leniently: bad rows become warnings, in row order, never drops. The rows are
+    read once and only counted per vehicle key: (make, model, model year), the model year from the VIN unless a
+    model_year column overrides it, or ("", "", model year) when a part is missing. Crash years are checked, not
+    kept. Only rows that `scan_batch` flags or that lack a key part are parsed alone; each key's flags resolve once."""
+    warnings: list[str] = []
+    counts: Counter = Counter()
     years: dict[str, int] = {}  # year text -> value; a text that parses in one column parses in both
     with Table(source, FARS_REQUIRED_COLUMNS, FARS_OPTIONAL_COLUMNS) as table:
-        for vin_text, crash_text, make, model, year_text in table:
-            if crash_text not in years:
-                years[crash_text] = parse_year(crash_text, "crash_year")
-            vin, warning = parse_vin_lenient(vin_text)
-            row_warned = warning is not None
-            if warning:
-                warnings.append(at_row(table.lineno, warning))
-
-            model_year: int | None = None
-            if year_text:
-                model_year = years.get(year_text) or years.setdefault(year_text, parse_year(year_text, "model_year"))
-            elif vin is not None:
-                try:
-                    model_year = vin.model_year
-                except IllegalYearCode as exc:
-                    warnings.append(at_row(table.lineno, exc))
-                    row_warned = True
-
-            key = (make, model, model_year)
-            if not (make and model and model_year is not None):
-                key = ("", "", model_year)
-                if "make" in table.header and "model" in table.header and not row_warned:
-                    # The file promises identity columns, so an unresolvable row is an anomaly.
-                    warnings.append(at_row(
-                        table.lineno, f"cannot resolve features for {vin_text!r} (missing make/model/model_year)"
-                    ))
-            yield key
-
-
-def ingest_fars_csv(source, catalog: Catalog) -> FarsIngest:
-    """Crash vehicle rows, parsed leniently: bad rows become warnings, never drops. The source is
-    read once and its rows only counted per vehicle key; each key's flags resolve once through the catalog."""
-    warnings: list[str] = []
-    counts = Counter(_crash_rows(source, warnings))
+        for linenos, (vins, crash_texts, makes, models, year_texts) in table.batches():
+            identity = "make" in table.header and "model" in table.header
+            # Row by row where a year text is new, so that the first faulty row names the error.
+            if "" in crash_texts or set(crash_texts).union(year_texts).difference(years, ("",)):
+                for table.lineno, crash_text, year_text in zip(linenos, crash_texts, year_texts):
+                    years[crash_text] = years.get(crash_text) or parse_year(crash_text, "crash_year")
+                    if year_text:
+                        years[year_text] = years.get(year_text) or parse_year(year_text, "model_year")
+            flagged, vin_years = scan_batch(vins)
+            model_years = list(map(years.get, year_texts, vin_years))  # a blank model_year reads the VIN's
+            flagged = {*flagged, *compress(count(), map(is_, model_years, repeat(None)))}
+            if identity:
+                flagged.update(compress(count(), map(not_, makes)), compress(count(), map(not_, models)))
+            keys = list(zip(makes, models, model_years) if identity else zip(repeat(""), repeat(""), model_years))
+            for i in sorted(flagged):
+                table.lineno, vin_text, make, model, year_text = linenos[i], vins[i], makes[i], models[i], year_texts[i]
+                vin, warning = parse_vin_lenient(vin_text)
+                if warning:
+                    warnings.append(at_row(table.lineno, warning))
+                model_year = years.get(year_text)
+                if not year_text and vin is not None:
+                    try:
+                        model_year = vin.model_year
+                    except IllegalYearCode as exc:
+                        warning = exc
+                        warnings.append(at_row(table.lineno, exc))
+                keys[i] = (make, model, model_year)
+                if not (make and model and model_year is not None):
+                    keys[i] = ("", "", model_year)
+                    if identity and warning is None:
+                        # The file promises identity columns, so an unresolvable row is an anomaly.
+                        warnings.append(at_row(
+                            table.lineno, f"cannot resolve features for {vin_text!r} (missing make/model/model_year)"
+                        ))
+            counts.update(keys)
     lookup = catalog.lookup_availability
     by_key = {key: ({f: lookup(*key, f) for f in _FEATURE_IDS} if key[0] else {}, n) for key, n in counts.items()}
     return FarsIngest(CrashRecords(by_key), warnings)

@@ -7,8 +7,10 @@ every 30 years and is disambiguated by whether position 7 is alphabetic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from operator import mul
+from itertools import compress
+from operator import mul, ne
 
 from .errors import CheckDigitMismatch, ForbiddenCharacter, IllegalYearCode, WrongLength
 
@@ -38,6 +40,10 @@ _FIRST_CYCLE_BASE = 1980
 _CYCLE = len(YEAR_CODES)
 # Code -> (its 1980-2009 year, its 2010-2039 year).
 _YEARS = {code: (_FIRST_CYCLE_BASE + i, _FIRST_CYCLE_BASE + _CYCLE + i) for i, code in enumerate(YEAR_CODES)}
+# For scan_batch: the model year by (position 7, position 10), and the check digit of each weighted sum
+# of legal characters, which never exceeds 9 * 89 = 801.
+_MODEL_YEARS = {(p7, code): years[p7.isalpha()] for p7 in LEGAL_CHARS for code, years in _YEARS.items()}
+_DIGIT_OF_SUM = "".join("0123456789X"[total % 11] for total in range(9 * sum(_WEIGHTS) + 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,6 +113,23 @@ def parse_vin_lenient(text: str) -> tuple[Vin | None, str | None]:
     if vin.raw[8] != expected:
         return vin, str(CheckDigitMismatch(expected, vin.raw[8], vin.raw))
     return vin, None
+
+
+def scan_batch(texts) -> tuple[list[int], list[int | None]]:
+    """(flagged indices, model years) of VIN texts, by a few whole-batch calls. A text is flagged unless
+    parse_vin_lenient returns it unchanged and with no warning; an unflagged U, Z or 0 year code reads None."""
+    if set(map(len, texts)) != {VIN_LENGTH}:  # an illegal placeholder keeps text i at 17 * i
+        texts = [text if len(text) == VIN_LENGTH else "?" * VIN_LENGTH for text in texts]
+    joined = "".join(texts)
+    values = joined.encode("ascii", "replace").translate(_VALUES)
+    flagged = {match.start() // VIN_LENGTH for match in re.finditer(b"\xff", values)}
+    # Each position's values as one integer, a 16-bit lane per text. No lane of the weighted sum carries, as it
+    # is at most 255 * 89; one past 801 holds an illegal character, is flagged already, and translate keeps it.
+    total = sum(weight * int.from_bytes(values[i::VIN_LENGTH].decode("latin-1").encode("utf-16-be"), "big")
+                for i, weight in enumerate(_WEIGHTS) if weight)
+    digits = total.to_bytes(2 * len(texts), "big").decode("utf-16-be").translate(_DIGIT_OF_SUM)
+    flagged.update(compress(range(len(texts)), map(ne, digits, joined[8::VIN_LENGTH])))
+    return sorted(flagged), list(map(_MODEL_YEARS.get, zip(joined[6::VIN_LENGTH], joined[9::VIN_LENGTH])))
 
 
 def decode_model_year(year_code: str, position7: str) -> int:

@@ -15,7 +15,6 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -277,6 +276,7 @@ def batch_decode(
             to_fetch.append(i)
 
     if to_fetch:
+        from concurrent.futures import ThreadPoolExecutor  # imported here: only fetching uses it
         # Load the variable map here: two workers that both miss the cache would both read the file.
         _bundled_variable_map()
         transport = _http_transport if transport is None else transport

@@ -151,15 +151,20 @@ REPORT_FEATURES = (
 MANDATE_YEARS = {"electronic_stability_control": 2006}
 
 
-def oracle_rows(text):
-    """The data rows of a comma-separated file text as dicts keyed by the header's names.
+def oracle_numbered_rows(text):
+    """(line number, row) for each data row of a comma-separated file text, the row a dict keyed by the header's names.
 
     A leading byte-order mark is dropped, blank and '#' lines are skipped and every cell is stripped.
     """
-    lines = [line for line in text.removeprefix("\ufeff").splitlines()
+    lines = [(number, line) for number, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1)
              if line.strip() and not line.strip().startswith("#")]
-    header = [cell.strip() for cell in lines[0].split(",")]
-    return [dict(zip(header, [cell.strip() for cell in line.split(",")])) for line in lines[1:]]
+    header = [cell.strip() for cell in lines[0][1].split(",")]
+    return [(number, dict(zip(header, [cell.strip() for cell in line.split(",")]))) for number, line in lines[1:]]
+
+
+def oracle_rows(text):
+    """The data rows of `oracle_numbered_rows`, without their line numbers."""
+    return [row for _, row in oracle_numbered_rows(text)]
 
 
 def oracle_fraction(text):
@@ -179,29 +184,47 @@ def oracle_caution(kind, quantity):
 
 
 def oracle_crash_records(catalog_rows, crash_text, features):
-    """(VIN, crash year, model year, {feature: availability}) per crash row, from the row's cells,
+    """(VIN, crash year, model year, {feature: availability}, warnings) per crash row, from the row's cells,
     `oracle_model_year` and `oracle_availability` alone.
 
     The model year is the model_year cell, else the VIN's when the VIN is 17 legal characters with a legal
     year code. A row with a make, a model and a model year has a flag per feature; any other row has none.
+    The warnings are the row's `row N: <reason>` texts, in order: the VIN's length, its first illegal
+    character or its check digit; an illegal year code when the row has no model_year cell; and, in a file
+    with make and model columns, a row with no earlier warning that lacks a make, a model or a model year.
     """
     by_year_feature = {}  # each lookup scans only the catalog rows of its model year and feature
     for row in catalog_rows:
         by_year_feature.setdefault((row[2], row[3]), []).append(row)
     records = []
-    for row in oracle_rows(crash_text):
+    numbered = oracle_numbered_rows(crash_text)
+    identity = numbered and "make" in numbered[0][1] and "model" in numbered[0][1]
+    for number, row in numbered:
         vin = row["vin"].upper()
+        forbidden = oracle_first_forbidden(vin)
+        reasons = []
+        if len(vin) != 17:
+            reasons.append(f"VIN must be 17 characters, got {len(vin)}: {vin!r}")
+        elif forbidden is not None:
+            reasons.append("character {!r} at position {} is not legal in a VIN".format(*forbidden))
+        elif oracle_check_digit(vin) != vin[8]:
+            reasons.append(f"check digit mismatch in {vin!r}: expected {oracle_check_digit(vin)!r}, found {vin[8]!r}")
         model_year = None
         if row.get("model_year"):
             model_year = int(row["model_year"])
-        elif len(vin) == 17 and all(c in CHAR_VALUES for c in vin) and vin[9] in YEAR_CODE_TABLE:
-            model_year = oracle_model_year(vin[9], vin[6])
+        elif len(vin) == 17 and forbidden is None:
+            if vin[9] in YEAR_CODE_TABLE:
+                model_year = oracle_model_year(vin[9], vin[6])
+            else:
+                reasons.append(f"{vin[9]!r} is not a legal model-year code")
         flags = {}
         if row.get("make") and row.get("model") and model_year is not None:
             flags = {f: oracle_availability(by_year_feature.get((model_year, f), []), row["make"], row["model"],
                                             model_year, f)
                      for f in features}
-        records.append((vin, int(row["crash_year"]), model_year, flags))
+        elif identity and not reasons:
+            reasons.append(f"cannot resolve features for {row['vin']!r} (missing make/model/model_year)")
+        records.append((vin, int(row["crash_year"]), model_year, flags, [f"row {number}: {r}" for r in reasons]))
     return records
 
 
@@ -211,7 +234,7 @@ def oracle_crash_series(catalog_text, crash_text):
                     for row in oracle_rows(catalog_text)]
     records = [SimpleNamespace(model_year=model_year,
                                feature_flags={f: SimpleNamespace(value=a) for f, a in flags.items()})
-               for _, _, model_year, flags in oracle_crash_records(catalog_rows, crash_text, REPORT_FEATURES)]
+               for _, _, model_year, flags, _ in oracle_crash_records(catalog_rows, crash_text, REPORT_FEATURES)]
     series = {}
     for feature in REPORT_FEATURES:
         cohorts = oracle_cohort_series(records, feature)

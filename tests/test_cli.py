@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import adasfleet
-from adasfleet import vin as vin_module, vpic
+from adasfleet import catalog, vin as vin_module, vpic
 from adasfleet.catalog import PRIORITY_FEATURES, FeatureId
 from adasfleet.cli import DATA_FILES, _json_rows, decode, estimate, main
 from adasfleet.datasets import ActivationSource, bundled_data_dir
@@ -614,7 +614,8 @@ def test_estimate_on_generated_data_ends_in_one_error_line_or_a_table(data_dir, 
     """Any data dir and any threshold flags end, within the deadline, in exit 0
     with a six-row table, or in exit 1 with one `error:` line; never in a
     traceback. A threshold below its flag's least value is a usage error,
-    exit 2, whatever the data. Whenever `estimate` exits 0, `ingest` accepts
+    exit 2, whatever the data, and every table-reader batch size gives the
+    same exit code and output. Whenever `estimate` exits 0, `ingest` accepts
     each file it read. Its JSON rows, or the feature it cannot estimate, are
     those of `oracle_estimate_table`.
 
@@ -633,6 +634,11 @@ def test_estimate_on_generated_data_ends_in_one_error_line_or_a_table(data_dir, 
             for name, text in files.items():
                 (Path(tmp) / name).write_text(text, encoding="utf-8")
             result = CliRunner().invoke(main, ["--data-dir", tmp, *args])
+            batched = []  # the same run at table-reader batch sizes whose blocks split the files' rows
+            for batch_rows in (1, 2, 3):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(catalog, "BATCH_ROWS", batch_rows)
+                    batched.append(CliRunner().invoke(main, ["--data-dir", tmp, *args]))
             as_json = result
             if output_format != "json" and result.exit_code == 0:
                 as_json = CliRunner().invoke(main, ["--data-dir", tmp, *args, "--format", "json"])
@@ -644,6 +650,8 @@ def test_estimate_on_generated_data_ends_in_one_error_line_or_a_table(data_dir, 
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    for other in batched:
+        assert (other.exit_code, other.stdout, other.stderr) == (result.exit_code, result.stdout, result.stderr)
     below_minimum = any(v is not None and v < least for v, least in zip(thresholds, THRESHOLD_FLAGS.values()))
     assert (result.exit_code == 2) == below_minimum, (result.exit_code, result.output)
     if below_minimum:
@@ -912,6 +920,15 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("feature,year,")
+
+
+def test_importing_the_cli_leaves_the_thread_pool_unimported():
+    """Only `decode`'s fetch from the live service uses a thread pool; importing it would cost every command."""
+    package_root = str(Path(adasfleet.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, adasfleet.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 def test_each_option_has_one_home():

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from adasfleet import catalog
 from adasfleet.catalog import PRIORITY_FEATURES, Availability, Catalog, FeatureId, load_catalog
 from adasfleet.cli import main
 from adasfleet.datasets import (
@@ -46,6 +47,8 @@ from oracles import (
 ACC = FeatureId.ADAPTIVE_CRUISE_CONTROL
 LCA = FeatureId.LANE_CENTERING_ASSIST
 PAEB = FeatureId.PEDESTRIAN_AUTOMATIC_EMERGENCY_BRAKING
+# Table-reader batch sizes whose blocks split a small file's rows, read besides the default.
+SMALL_BATCHES = (1, 2, 3)
 
 
 def write(tmp_path, name, text):
@@ -332,6 +335,37 @@ class TestFarsIngestion:
             ingest_fars_csv(path, Catalog(()))
         assert str(exc_info.value) == "row 2: crash_year 'twenty' is not an integer year"
 
+    @pytest.mark.parametrize("batch_rows", SMALL_BATCHES + (catalog.BATCH_ROWS,))
+    @pytest.mark.parametrize("rows, error", [
+        # Within a row the crash year comes first, but an earlier row's model year comes before both.
+        (["vin,crash_year,make,model,model_year", "1ATCDEFG7MA000000,2022,acme,m00,twenty",
+          "1ATCDEFG9MA000001,later,acme,m01,2021"], "row 2: model_year 'twenty' is not an integer year"),
+        (["vin,crash_year,make,model,model_year", "1ATCDEFG7MA000000,later,acme,m00,twenty"],
+         "row 2: crash_year 'later' is not an integer year"),
+        # A blank crash year is an error; a blank model year is absent.
+        (["vin,crash_year,model_year", "1ATCDEFG7MA000000,2021,", "1ATCDEFG7MA000000,,2021"],
+         "row 3: crash_year '' is not an integer year"),
+        # A row's bad crash year comes before a later row's column count.
+        (["vin,crash_year", "1ATCDEFG7MA000000,2021", "1ATCDEFG7MA000000,later", "1ATCDEFG7MA000000,2021,x"],
+         "row 3: crash_year 'later' is not an integer year"),
+    ])
+    def test_first_faulty_row_names_the_error(self, tmp_path, monkeypatch, batch_rows, rows, error):
+        monkeypatch.setattr(catalog, "BATCH_ROWS", batch_rows)
+        path = write(tmp_path, "fars.csv", "\n".join(rows) + "\n")
+        with pytest.raises(SchemaError) as exc_info:
+            ingest_fars_csv(path, Catalog(()))
+        assert str(exc_info.value) == error
+
+    def test_bad_crash_year_comes_before_a_later_undecodable_block(self, tmp_path):
+        """Lines are read a block of text at a time, and rows a batch at a time; the rows read before an
+        undecodable block are still checked first, as a row-by-row read checks them."""
+        rows = ["vin,crash_year", "1ATCDEFG7MA000000,later"] + ["1ATCDEFG7MA000000,2021"] * 900
+        path = tmp_path / "fars.csv"
+        path.write_bytes("\n".join(rows).encode() + b"\n\xff\n")
+        with pytest.raises(SchemaError) as exc_info:
+            ingest_fars_csv(path, Catalog(()))
+        assert str(exc_info.value) == "row 2: crash_year 'later' is not an integer year"
+
     def test_records_from_an_open_stream_equal_those_from_its_path(self, tmp_path):
         rows = ["vin,crash_year,make,model", f"{vin_for_year_code('M', 19)},2021,ACME,Alpha", "NOTAVIN,2021,acme,",
                 f"{vin_for_year_code('U', 21)},2022,acme,alpha", f"{vin_for_year_code('L', 23)},2021,zeta,omega"]
@@ -453,11 +487,21 @@ CASE_VARIANTS = (str.lower, str.upper, str.title)
 CRASH_YEAR_CODES = "CDEFGHJKLM" + "UZ0"
 
 
+# A VIN as written in a crash file: mostly as generated, else with a wrong check digit, in lowercase,
+# padded, a character short or long, or with a character no VIN may hold.
+VIN_SPELLINGS = (
+    [lambda vin: vin] * 10
+    + [lambda vin: vin[:8] + ("X" if vin[8] != "X" else "0") + vin[9:], str.lower, " {} \t".format,
+       lambda vin: vin[:16], lambda vin: vin + "1", lambda vin: vin[:4] + "I" + vin[5:],
+       lambda vin: vin[:12] + "é" + vin[13:], lambda vin: "ß" + vin[2:]]
+)
+
+
 @st.composite
 def crash_files(draw):
     """(catalog rows, crash CSV text): keys repeated under case variants, blank makes or models,
-    an optional model_year column, wrong check digits, U/Z/0 year codes and keys the catalog
-    lacks on both sides of the 2017 coverage floor."""
+    an optional model_year column, VINs spelled as `VIN_SPELLINGS` spells them, U/Z/0 year codes
+    and keys the catalog lacks on both sides of the 2017 coverage floor."""
     identities = st.tuples(st.sampled_from(CRASH_MAKES), st.sampled_from(CRASH_MODELS), st.integers(2012, 2021))
     catalog_keys = draw(st.lists(identities, unique=True, max_size=6))
     catalog_rows = []
@@ -469,9 +513,7 @@ def crash_files(draw):
     with_year_column = draw(st.booleans())
     lines = ["vin,crash_year,make,model" + (",model_year" if with_year_column else "")]
     for serial in range(draw(st.integers(0, 30))):
-        vin = vin_for_year_code(draw(st.sampled_from(CRASH_YEAR_CODES)), serial)
-        if draw(st.integers(0, 9)) == 0:
-            vin = vin[:8] + ("X" if vin[8] != "X" else "0") + vin[9:]
+        vin = draw(st.sampled_from(VIN_SPELLINGS))(vin_for_year_code(draw(st.sampled_from(CRASH_YEAR_CODES)), serial))
         make = draw(st.sampled_from(CASE_VARIANTS))(draw(st.sampled_from(CRASH_MAKES + ("",))))
         model = draw(st.sampled_from(CASE_VARIANTS))(draw(st.sampled_from(CRASH_MODELS + ("",))))
         cells = [vin, str(draw(st.integers(2021, 2023))), make, model]
@@ -485,20 +527,26 @@ def expected_records(catalog_rows, text):
     """One VehicleRecord per crash row of `oracle_crash_records`."""
     rows = oracle_crash_records(catalog_rows, text, [f.value for f in FeatureId])
     return [VehicleRecord(vin, crash_year, model_year, {FeatureId(f): Availability(a) for f, a in flags.items()})
-            for vin, crash_year, model_year, flags in rows]
+            for vin, crash_year, model_year, flags, _ in rows]
 
 
 class TestCrashFileAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(crash_file=crash_files())
     def test_series_fractions_and_records_equal_the_per_row_oracle(self, crash_file, tmp_path_factory):
+        """Also the warnings, text for text and in order, and the same at every batch size."""
         catalog_rows, text = crash_file
         path = tmp_path_factory.mktemp("crash") / "fars.csv"
         path.write_text(text, encoding="utf-8")
-        result = ingest_fars_csv(path, Catalog(
-            (make, model, year, FeatureId(feature), Availability(availability))
-            for make, model, year, feature, availability in catalog_rows
-        ))
+        crash_catalog = Catalog((make, model, year, FeatureId(feature), Availability(availability))
+                                for make, model, year, feature, availability in catalog_rows)
+        result = ingest_fars_csv(path, crash_catalog)
+        assert result.warnings == [w for *_, warnings in oracle_crash_records(catalog_rows, text, ()) for w in warnings]
+        for batch_rows in SMALL_BATCHES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(catalog, "BATCH_ROWS", batch_rows)
+                batched = ingest_fars_csv(path, crash_catalog)
+            assert (batched.warnings, batched.records.by_key) == (result.warnings, result.records.by_key)
         expected = expected_records(catalog_rows, text)
         for feature in PRIORITY_FEATURES:
             series = oracle_cohort_series(expected, feature)

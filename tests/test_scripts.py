@@ -1,10 +1,12 @@
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
 from click.testing import CliRunner
 
 from adasfleet.cli import main
@@ -39,6 +41,25 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
+
+
+@pytest.mark.parametrize("workload", ["bundled_cli", "fars_140k", "vpic_20k"])
+def test_traced_benchmark_run_reports_every_metric(workload):
+    """A short traced run of each workload ends in a correct result line whose every metric is a number.
+
+    The tracer derives some metrics from counts of wrapped calls, such as catalog lookups; a change that
+    stops making such a call leaves the metric null, and the run's result line cannot be read.
+    """
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3", "--seconds", "0.1",
+         "--trace", "1", "--scale", "0.02"],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    last = json.loads(result.stdout.splitlines()[-1])
+    assert last["correct"] is True
+    values = {name: metric["value"] for name, metric in last["metrics"].items()}
+    assert values and all(isinstance(v, (int, float)) and math.isfinite(v) for v in values.values()), values
 
 
 def test_benchmark_generator_and_checker_import():

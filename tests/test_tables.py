@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from adasfleet import catalog
 from adasfleet.catalog import Catalog, Table, load_catalog, text_lines
 from adasfleet.datasets import ingest_activation_csv, ingest_adoption_csv, ingest_fars_csv, ingest_fleet_csv
 from adasfleet.errors import AdasFleetError, BadEnumValue, SchemaError
@@ -94,7 +95,7 @@ def naive_table(text: str, columns: tuple[str, ...], optional: tuple[str, ...] |
         elif len(cells) != len(header):
             return rows, f"row {lineno}: expected {len(header)} columns, got {len(cells)}"
         elif optional is None:
-            rows.append(cells)
+            rows.append(tuple(cells))
         else:
             rows.append(tuple(cells[header.index(name)] if name in header else "" for name in columns + optional))
     return rows, None
@@ -107,16 +108,31 @@ def naive_table(text: str, columns: tuple[str, ...], optional: tuple[str, ...] |
        after=st.lists(st.one_of(ROW_LINE, SKIPPED_LINE), max_size=8),
        breaks=st.lists(st.sampled_from(["\n", "\r\n", "\r", "\u2028"]), min_size=11, max_size=11))
 def test_table_reads_as_a_naive_reader_does(columns, optional, pads, before, after, breaks):
+    """At the default batch size and at the small ones, whose blocks split rows, faults and comments apart."""
     header = ",".join(left + name + right for (left, right), name in zip(pads, "abc"))
     text = "".join(line + brk for line, brk in zip([*before, header, *after], breaks))
-    rows = []
-    try:
-        with Table(io.StringIO(text, newline=""), columns, optional) as table:
-            rows.extend(table)
-        error = None
-    except SchemaError as exc:
-        error = str(exc)
-    assert (rows, error) == naive_table(text, columns, optional)
+    for batch_rows in (catalog.BATCH_ROWS, 1, 2, 3):
+        rows = []
+        try:
+            with pytest.MonkeyPatch.context() as mp, Table(io.StringIO(text, newline=""), columns, optional) as table:
+                mp.setattr(catalog, "BATCH_ROWS", batch_rows)
+                rows.extend(table)
+            error = None
+        except SchemaError as exc:
+            error = str(exc)
+        assert (rows, error) == naive_table(text, columns, optional), batch_rows
+
+
+@pytest.mark.parametrize("batch_rows", [1, 2, catalog.BATCH_ROWS])
+@pytest.mark.parametrize("text, columns, rows", [
+    ("a,b\n1,2\n#3,4\n5,6\n", ("a", "b"), [("1", "2"), ("5", "6")]),  # a comment as wide as the header
+    ("a\n1\n\n2\n", ("a",), [("1",), ("2",)]),  # a blank line in a file one column wide
+], ids=["comment", "blank"])
+def test_skipped_lines_of_a_clean_block_stay_skipped(monkeypatch, batch_rows, text, columns, rows):
+    """Lines the naive-reader property cannot make: ASCII, nothing to strip, and the header's width."""
+    monkeypatch.setattr(catalog, "BATCH_ROWS", batch_rows)
+    with Table(io.StringIO(text, newline=""), columns) as table:
+        assert list(table) == rows
 
 
 @pytest.mark.parametrize("shift", range(-3, 3))

@@ -14,6 +14,7 @@ from adasfleet.vin import (
     encode_model_year,
     parse_vin,
     parse_vin_lenient,
+    scan_batch,
 )
 
 from oracles import CHAR_VALUES, YEAR_CODE_TABLE, oracle_check_digit, oracle_first_forbidden, oracle_model_year
@@ -235,3 +236,37 @@ class TestAgainstOracle:
                 with pytest.raises(CheckDigitMismatch) as info:
                     parse_vin(text)
                 assert (info.value.expected, info.value.found) == (expected, normalized[8])
+
+
+def mutated(vin: str, position: int, character: str) -> str:
+    return vin[:position] + character + vin[position + 1:]
+
+
+# Texts as a crash file's VIN cells may hold them: valid VINs and one-character mutations of them, the
+# wrong length, lowercase, the excluded I/O/Q, and "ß", "é" and a lone surrogate, which no VIN holds.
+SCAN_TEXTS = st.one_of(
+    valid_vins,
+    st.builds(mutated, valid_vins, st.integers(0, 16), st.sampled_from(LEGAL + list("aioqIOQß é\ud800"))),
+    valid_vins.map(str.lower),
+    st.text(alphabet=LEGAL + list("ioqIOQ"), min_size=15, max_size=19),
+    st.sampled_from(["", "ß", "é", "\ud800", "ß" + "1" * 16, "1" * 16 + "\ud800"]),
+)
+
+
+class TestScanBatch:
+    @settings(max_examples=300)
+    @given(st.lists(SCAN_TEXTS, max_size=40))
+    @example(["1ATCDEFG7MA000000", "1ATCDEFG7UA000001", "1atcdefg7ma000000", "1ATCDEFG7MA00000", "ß" + "1" * 16])
+    def test_flags_exactly_what_a_lenient_parse_changes_or_warns_about(self, texts):
+        """An unflagged text's check digit is the oracle's, and its model year the oracle's, None for U/Z/0."""
+        flagged, years = scan_batch(texts)
+        assert len(years) == len(texts)
+        expected = []
+        for i, text in enumerate(texts):
+            vin, warning = parse_vin_lenient(text)
+            if vin is None or warning is not None or vin.raw != text:
+                expected.append(i)
+                continue
+            assert text[8] == oracle_check_digit(text)
+            assert years[i] == (oracle_model_year(text[9], text[6]) if text[9] in YEAR_CODE_TABLE else None)
+        assert flagged == expected

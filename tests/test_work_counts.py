@@ -2,8 +2,9 @@
 inputs, and of `decode` on its `vpic_20k` inputs, each at two small scales.
 
 Counts, unlike wall times, do not depend on the machine, so they can gate
-the per-row paths: one VIN parse per crash row, one catalog lookup per
-feature per distinct vehicle key, no per-row record on the way to the
+the per-row paths: one VIN parse per crash row that the batch VIN check
+flags and none for the others, one catalog lookup per feature per distinct
+vehicle key, no per-row record on the way to the
 table, one read of each input file, and for `decode` one VIN parse per
 VIN, one cache read per structurally valid VIN and no cache write. Each
 bound is a formula over the generated input file, which the test reads
@@ -20,21 +21,26 @@ from adasfleet import catalog, cli, datasets, vpic
 from adasfleet.catalog import Catalog, FeatureId
 from adasfleet.cli import main
 
-from oracles import CHAR_VALUES, YEAR_CODE_TABLE, oracle_model_year
+from oracles import CHAR_VALUES, YEAR_CODE_TABLE, oracle_check_digit, oracle_model_year
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def crash_file_work(path: Path) -> tuple[int, int]:
-    """(crash rows, distinct resolvable (make, model, model year) keys) of a `vin,crash_year,make,model` file."""
+def crash_file_work(path: Path) -> tuple[int, int, int]:
+    """(crash rows, distinct resolvable (make, model, model year) keys, flagged rows) of a
+    `vin,crash_year,make,model` file. A row is flagged unless it has a make, a model and a VIN of 17 legal
+    upper-case characters with a legal year code and the right check digit."""
     lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line and not line.startswith("#")]
     assert lines[0] == "vin,crash_year,make,model"
-    keys = set()
+    keys, flagged = set(), 0
     for line in lines[1:]:
         vin, _, make, model = line.split(",")
         if make and model and len(vin) == 17 and all(c in CHAR_VALUES for c in vin) and vin[9] in YEAR_CODE_TABLE:
             keys.add((make, model, oracle_model_year(vin[9], vin[6])))
-    return len(lines) - 1, len(keys)
+            flagged += oracle_check_digit(vin) != vin[8]
+        else:
+            flagged += 1
+    return len(lines) - 1, len(keys), flagged
 
 
 def counting(monkeypatch, owner, name: str) -> list[int]:
@@ -65,7 +71,7 @@ def perfbench_gen(monkeypatch):
 def test_each_row_is_parsed_once_and_each_key_looked_up_once_per_feature(scale, args, tmp_path, monkeypatch):
     perfbench_gen(monkeypatch).generate("fars_140k", 1, tmp_path, scale=scale)
     data = tmp_path / "data"
-    rows, keys = crash_file_work(data / "fars_vehicles.csv")
+    rows, keys, flagged = crash_file_work(data / "fars_vehicles.csv")
     lookups = counting(monkeypatch, Catalog, "lookup_availability")
     parses = counting(monkeypatch, datasets, "parse_vin_lenient")
     records = counting(monkeypatch, datasets, "VehicleRecord")
@@ -76,7 +82,7 @@ def test_each_row_is_parsed_once_and_each_key_looked_up_once_per_feature(scale, 
     assert result.exit_code == 0, result.output
     assert keys < rows  # the generated keys repeat, so per-row and per-key work differ
     assert lookups[0] == keys * len(FeatureId)
-    assert parses[0] == rows
+    assert 0 < flagged < rows and parses[0] == flagged  # only the flagged rows are parsed one by one
     assert records[0] == 0
     # One read per input: catalog, adoption, fleet, activation, crash file; `ingest` reads the first and last.
     assert reads[0] == {"estimate": 5, "ingest": 2}[args[0]]
