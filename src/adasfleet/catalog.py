@@ -7,7 +7,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from io import DEFAULT_BUFFER_SIZE
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 from sys import intern
 from typing import Iterable, Mapping
@@ -167,20 +167,20 @@ def at_row(lineno: int | None, message) -> str:
 
 def parse_year(text: str, column: str) -> int:
     try:
+        if not text.isascii() or "_" in text:  # int() also reads "2_021" and other digits, such as "٢٠٢١"
+            raise ValueError
         return int(text)
     except ValueError:
         raise SchemaError(f"{column} {text!r} is not an integer year") from None
 
 
 def text_lines(source):
-    """Lines of a UTF-8 file, or of an open text stream, streamed and split as str.splitlines splits them.
-
-    One leading byte-order mark (U+FEFF), which some editors write, is dropped."""
-    is_path = isinstance(source, (str, Path))
+    """Lines of a UTF-8 file, or of an open text stream, read DEFAULT_BUFFER_SIZE characters at a time and split
+    as str.splitlines splits them. One leading byte-order mark (U+FEFF), which some editors write, is dropped."""
     try:
-        with (open(source, encoding="utf-8") if is_path else nullcontext(source)) as handle:
-            # Blocks of a file ("\r" and "\r\n" read as "\n") or lines of a stream; text through a "\n" splits alone.
-            chunks = iter(lambda: handle.read(DEFAULT_BUFFER_SIZE), "") if is_path else iter(handle)
+        with (open(source, encoding="utf-8") if isinstance(source, (str, Path)) else nullcontext(source)) as handle:
+            # A file reads "\r" and "\r\n" as "\n" but a stream need not, so only text through a "\n" splits alone.
+            chunks = iter(lambda: handle.read(DEFAULT_BUFFER_SIZE), "")
             rest = next(chunks, "").removeprefix("\ufeff")
             for chunk in chunks:
                 cut = chunk.rfind("\n") + 1
@@ -196,7 +196,7 @@ def text_lines(source):
 
 
 class Table:
-    """The data rows of one comma-separated file, streamed as tuples of stripped cells.
+    """The data rows of one comma-separated file or open text stream, read in blocks, as tuples of stripped cells.
 
     No quoting: an embedded comma changes the column count, and every row must
     be as wide as the header. Blank and '#' comment lines are skipped. The
@@ -238,41 +238,36 @@ class Table:
 
     def batches(self):
         """(line numbers, columns) of up to BATCH_ROWS data rows at a time, one sequence of cells per column read.
-        A clean block (ASCII, nothing str.strip removes, no '#' or blank line, every line as wide as the header)
-        is split with one str.split; any other is read line by line. The rows before a fault come first."""
-        lines, lineno, width = text_lines(self.source), 0, None
+        Each block of lines is split with one str.split. Blank and '#' lines are dropped, and cells stripped, only
+        in a block that may hold them: one before the header, or not ASCII, or holding ' ', '\t', '\x1f', '#' or
+        a blank line. A line of the wrong width ends its block; the rows before a fault come first."""
+        lines, lineno, width = text_lines(self.source), 0, 0
         while True:
             block, failure = [], None
             try:
                 block.extend(islice(lines, BATCH_ROWS))
             except SchemaError as exc:  # list.extend keeps the lines read before it
                 failure = exc
+            numbers, kept = range(lineno + 1, lineno + 1 + len(block)), block
             text = ",".join(block)
             # Of the ASCII characters str.strip removes, a splitlines() line can hold only " ", "\t" and "\x1f".
-            if (width and text.isascii() and not any(c in text for c in " \t\x1f#") and "" not in block
-                    and set(map(str.count, block, repeat(","))) == {width - 1}):
-                cells = text.split(",")
-                numbers = range(lineno + 1, lineno + 1 + len(block))
-                columns = [cells[i::width] for i in range(width)]
-            else:
-                numbers, rows = [], []
-                for number, line in enumerate(block, start=lineno + 1):
-                    cells = line.split(",")
-                    if not line.isascii() or " " in line or "\t" in line or "\x1f" in line:
-                        cells = list(map(str.strip, cells))
-                    if cells[0][:1] in ("", "#") and line.strip()[:1] in ("", "#"):
-                        continue
-                    if width is None:
-                        picks = self._picks(cells, line)
-                        self.header, width = cells, len(cells)
-                    elif len(cells) != width:
-                        failure = SchemaError(at_row(number, f"expected {width} columns, got {len(cells)}"))
-                        break
-                    else:
-                        numbers.append(number)
-                        rows.append(cells)
-                columns = list(zip(*rows))
+            plain = width and text.isascii() and not any(c in text for c in " \t\x1f#") and "" not in block
+            if not plain:
+                keep = [line.strip()[:1] not in ("", "#") for line in block]
+                numbers, kept = list(compress(numbers, keep)), list(compress(block, keep))
+            if kept and not width:  # the first line kept is the header
+                header = list(map(str.strip, kept[0].split(",")))
+                picks, width, self.header = self._picks(header, kept[0]), len(header), header
+                numbers, kept = numbers[1:], kept[1:]
+            if kept and set(map(str.count, kept, repeat(","))) != {width - 1}:  # a line's commas give its width
+                bad = list(map((width - 1).__eq__, map(str.count, kept, repeat(",")))).index(False)
+                failure = SchemaError(at_row(numbers[bad], f"expected {width} columns, got {kept[bad].count(',') + 1}"))
+                numbers, kept = numbers[:bad], kept[:bad]
             if numbers:
+                cells = ",".join(kept).split(",")
+                if not plain:
+                    cells = list(map(str.strip, cells))
+                columns = [cells[i::width] for i in range(width)]
                 yield numbers, [(*columns, ("",) * len(numbers))[i] for i in picks]
                 self.lineno = None  # whichever row the caller handled last
             if failure is not None:

@@ -183,7 +183,8 @@ def _decode_rows(vins: list[str], cache: FixtureCache, strict_vin: bool, vpic_ur
 @main.command()
 @click.argument("vins", nargs=-1)
 @click.option("--file", "vin_file", type=click.Path(exists=True, path_type=Path), default=None,
-              help="File with one VIN per line (a leading 'vin' header line is skipped).")
+              help="File with one VIN per line, in its first comma-separated cell; a line whose first cell is "
+                   "blank, starts with '#' or is 'vin' in any case is skipped.")
 @click.option("--format", "fmt", type=_FORMAT_CHOICE, default="table", show_default=True)
 @click.option("--strict-vin", is_flag=True, help="Treat check-digit failures as hard errors.")
 @click.option("--vpic-mode", type=click.Choice([m.value for m in CacheMode]), default="offline", show_default=True)

@@ -43,6 +43,8 @@ _FEATURE_IDS = tuple(FeatureId)  # iterating the enum class runs a Python genera
 
 def _parse_fraction(text: str, column: str) -> Decimal:
     try:
+        if not text.isascii() or "_" in text:  # Decimal() also reads "0.1_5" and other digits, such as "٠.٢"
+            raise InvalidOperation
         value = Decimal(text)
     except InvalidOperation:
         raise SchemaError(f"{column} {text!r} is not a decimal fraction") from None

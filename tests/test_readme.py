@@ -9,6 +9,10 @@ from pathlib import Path
 
 import adasfleet
 from adasfleet import vpic
+from adasfleet.catalog import CATALOG_HEADER
+from adasfleet.datasets import (
+    ACTIVATION_HEADER, ADOPTION_HEADER, FARS_OPTIONAL_COLUMNS, FARS_REQUIRED_COLUMNS, FLEET_HEADER,
+)
 from adasfleet.vpic import batch_decode
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -60,3 +64,18 @@ def test_stated_vpic_constants_equal_the_module_values():
                 and node.targets[0].id in stated}
     assert len(stated) == 5
     assert stated == assigned
+
+
+def test_data_file_headers_equal_the_reader_constants():
+    """Each row of the "Data file formats" table: its header against the reader's, and the crash row's optional
+    column names against `FARS_OPTIONAL_COLUMNS`."""
+    section = README.read_text("utf-8").split("## Data file formats", 1)[1].split("\n## ", 1)[0]
+    rows = {cells[0]: cells[1:] for line in section.splitlines() if line.startswith("| ")
+            for cells in [[cell.strip() for cell in line.strip("|").split("|")]]}
+    headers = {name: tuple(header.strip("`").split(",")) for name, (header, _) in rows.items()}
+    assert {name: headers[name] for name in ("adoption", "fleet", "activation", "catalog", "crash vehicles")} == {
+        "adoption": ADOPTION_HEADER, "fleet": FLEET_HEADER, "activation": ACTIVATION_HEADER,
+        "catalog": CATALOG_HEADER, "crash vehicles": FARS_REQUIRED_COLUMNS,
+    }
+    optional = rows["crash vehicles"][1].split(";")[1]
+    assert tuple(re.findall(r"`(\w+)`", optional)) == FARS_OPTIONAL_COLUMNS

@@ -8,7 +8,9 @@ import hypothesis.strategies as st
 
 from adasfleet import catalog
 from adasfleet.catalog import Catalog, Table, load_catalog, text_lines
-from adasfleet.datasets import ingest_activation_csv, ingest_adoption_csv, ingest_fars_csv, ingest_fleet_csv
+from adasfleet.datasets import (
+    FarsIngest, ingest_activation_csv, ingest_adoption_csv, ingest_fars_csv, ingest_fleet_csv,
+)
 from adasfleet.errors import AdasFleetError, BadEnumValue, SchemaError
 from adasfleet.vpic import load_variable_map
 
@@ -44,6 +46,62 @@ def test_non_utf8_file_is_a_schema_error(kind, tmp_path):
     path.write_bytes(header.encode() + b"\n\xff\n")
     with pytest.raises(SchemaError, match="not UTF-8"):
         read(path)
+
+
+# Year and fraction cells that Python's int() and Decimal() read, as literals with "_" or in other digits.
+LITERAL_FORMS = [
+    ("adoption", "lane_keep_assist,2_020,0.15,0.2", "model_year '2_020' is not an integer year"),
+    ("adoption", "lane_keep_assist,2020,0.1_5,0.2", "std_frac '0.1_5' is not a decimal fraction"),
+    ("adoption", "lane_keep_assist,2020,0.15,\u0660.\u0662", "opt_frac '\u0660.\u0662' is not a decimal fraction"),
+    ("fleet", "lane_keep_assist,\uff12\uff10\uff12\uff11,0.5",
+     "calendar_year '\uff12\uff10\uff12\uff11' is not an integer year"),
+    ("fleet", "lane_keep_assist,2021,0_5", "equipped_frac '0_5' is not a decimal fraction"),
+    ("activation", "lane_keep_assist,\u0660.\u0665,observed,", "rate '\u0660.\u0665' is not a decimal fraction"),
+    ("catalog", "acme,alpha,2_021,lane_keep_assist,standard", "model_year '2_021' is not an integer year"),
+    ("catalog", "acme,alpha,\u0662\u0660\u0662\u0661,lane_keep_assist,standard",
+     "model_year '\u0662\u0660\u0662\u0661' is not an integer year"),
+    ("fars", "1ATCDEFG7MA000000,20_21,acme,alpha,", "crash_year '20_21' is not an integer year"),
+    ("fars", "1ATCDEFG7MA000000,2021,acme,alpha,1_980", "model_year '1_980' is not an integer year"),
+]
+
+
+@pytest.mark.parametrize("kind, row, message", LITERAL_FORMS, ids=[f"{k}-{m.split()[0]}" for k, _, m in LITERAL_FORMS])
+def test_year_and_fraction_cells_are_ascii_without_underscores(tmp_path, kind, row, message):
+    read, header = READERS[kind]
+    path = tmp_path / "input.csv"
+    path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as raised:
+        read(path)
+    assert str(raised.value) == f"row 2: {message}"
+
+
+def outcome(read, source):
+    """What a reader makes of a source: its result, comparable by value, or its error's class and text."""
+    try:
+        result = read(source)
+    except AdasFleetError as exc:
+        return type(exc), str(exc)
+    return (result.records.by_key, result.warnings) if isinstance(result, FarsIngest) else result
+
+
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\u2028", "\x0b"])
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), read_size=st.integers(1, 9), batch_rows=st.integers(1, 3))
+def test_an_open_stream_reads_as_its_path_does_at_tiny_reads(kind, data, read_size, batch_rows, tmp_path_factory):
+    """The same rows or the same error, read through a path and through `io.StringIO(text, newline="")`."""
+    read, header = READERS[kind]
+    lines = data.draw(st.lists(st.lists(CELLS, min_size=1, max_size=6).map(",".join), max_size=8))
+    breaks = data.draw(st.lists(LINE_BREAKS, min_size=9, max_size=9))
+    text = data.draw(st.sampled_from(["", "\ufeff"])) + "".join(map(str.__add__, [header, *lines], breaks))
+    path = tmp_path_factory.mktemp(kind) / "input.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "DEFAULT_BUFFER_SIZE", read_size)
+        mp.setattr(catalog, "BATCH_ROWS", batch_rows)
+        assert outcome(read, io.StringIO(text, newline="")) == outcome(read, path)
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
@@ -138,10 +196,23 @@ def test_skipped_lines_of_a_clean_block_stay_skipped(monkeypatch, batch_rows, te
 @pytest.mark.parametrize("shift", range(-3, 3))
 @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
 def test_file_lines_split_as_the_whole_text_splits_across_read_blocks(tmp_path, shift, bom):
-    """A file is read in blocks: a line break that ends one block or straddles two ("\r" then "\n")
-    still ends exactly one line, and no line is lost or split."""
+    """A file or an open stream is read in blocks: a line break that ends one block or straddles two ("\r"
+    then "\n") still ends exactly one line, and no line is lost or split. So too for any short text read
+    from a stream a few characters at a time, where a "\r\n" is not read as "\n" first."""
     breaks = ["\r\n", "\r", "\n", "\u2028", "\r\r\n", "\n\n", "\x0b"]
     text = "".join("x" * (io.DEFAULT_BUFFER_SIZE - 1 + shift) + brk + "é" * 3 for brk in breaks) + "\r"
     path = tmp_path / "lines.csv"
     path.write_text(bom + text, encoding="utf-8", newline="")
     assert list(text_lines(path)) == text.splitlines()
+    assert list(text_lines(io.StringIO(bom + text, newline=""))) == text.splitlines()
+
+    @settings(max_examples=50, deadline=None)
+    @given(short=st.lists(st.sampled_from(["a", "b", ",", "\n", "\r", "\r\n", " ", "\x0b", "é", "\ufeff", "\u2028"]))
+           .map("".join), read_size=st.integers(1, 9))
+    def stream_splits_as_its_text_splits(short, read_size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(catalog, "DEFAULT_BUFFER_SIZE", read_size)
+            lines = list(text_lines(io.StringIO(bom + short, newline="")))
+        assert lines == (bom + short).removeprefix("\ufeff").splitlines()
+
+    stream_splits_as_its_text_splits()
